@@ -194,9 +194,8 @@ fn main() -> ExitCode {
     }
 
     // Surface the serving summary alongside the micro-bench one when a
-    // serve_bench run left it behind. Tolerant across schema
-    // generations (v2 summaries predate the `arch` field) and never a
-    // gate: an absent or unreadable summary is only noted.
+    // serve_bench run left it behind. Never a gate: an absent summary,
+    // or one of an older schema generation, is only noted.
     let serve_path = repo_root
         .clone()
         .unwrap_or_else(|| PathBuf::from("."))
@@ -206,18 +205,16 @@ fn main() -> ExitCode {
         Some(json) => match serve_summary_headline(json) {
             Some(headline) => {
                 println!("bench_report: serve summary — {headline}");
-                // v4+ summaries carry a telemetry section; print its
-                // stage breakdown too (older summaries just skip it).
+                // The telemetry section's stage breakdown.
                 if let Some(stages) = serve_telemetry_headline(json) {
                     println!("bench_report: serve telemetry — {stages}");
                 }
-                // v5+ summaries name their release policy and, in open
-                // mode, the head-to-head policy deltas (older summaries
-                // just skip the line).
+                // The release policy and, in bare open mode, the
+                // head-to-head policy deltas.
                 if let Some(policy) = serve_policy_headline(json) {
                     println!("bench_report: serve policy — {policy}");
                 }
-                // v6+ fleet runs carry the sharded-front-door sections
+                // Fleet runs carry the sharded-front-door sections
                 // (bare runs just skip the line).
                 if let Some(fleet) = serve_fleet_headline(json) {
                     println!("bench_report: serve fleet — {fleet}");

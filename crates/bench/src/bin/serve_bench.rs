@@ -12,6 +12,16 @@
 //!     --mode open --arrivals poisson --load 0.5,1.0,2.0 --threads 2
 //! ```
 //!
+//! Every mode runs through one driver: [`run_point`] serves one
+//! operating point through a [`Target`] — a bare service, or a fleet
+//! controller under `--fleet` — and one sweep loop calls it once per
+//! `--load` multiplier (a closed run is a single point that admits
+//! every request through `submit` and finishes with `drain`). One
+//! summary writer emits the shared header fields, then each mode's own
+//! sections. Batch reports are taken after every admission call, so the
+//! `per_arch` batch counts are complete; the run fails unless they sum
+//! to `telemetry.batches_fired`.
+//!
 //! Flags (shared flags match the other experiment binaries):
 //!
 //! * `--full` — paper-scale run (larger memory and request count);
@@ -95,27 +105,32 @@
 //! Latency is measured on the service's **virtual clock** (one tick =
 //! one modeled ns), so percentiles include queueing delay, decompose
 //! into `queue_wait`/`compile`/`execute`, and are bit-identical across
-//! `--threads` values — wall-clock throughput of the simulation host is
-//! reported separately. Every run records through a
+//! `--threads` values. The host throughput `wall_rps` (closed mode) is
+//! timed from the first `submit` to the return of `drain`. Every run records through a
 //! `qram_telemetry::TelemetryRecorder`; the printed `trace_digest` and
 //! `telemetry_digest` lines are bit-identical across `--threads`,
 //! `--shot-threads` and `--path-chunks` (CI diffs them).
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use qram_bench::report::{
-    find_repo_root, fnv1a_64, percentile, serve_arch_json, serve_sweep_json, ServeArchPoint,
-    ServeLoadPoint,
+    find_repo_root, percentile, serve_arch_json, serve_sweep_json, ServeArchPoint, ServeLoadPoint,
+    SERVE_SCHEMA,
 };
 use qram_bench::{experiment_memory, print_row};
 use qram_core::{ArchSpec, DataEncoding, Memory, Optimizations};
-use qram_fleet::{FleetConfig, FleetController, FleetResult, ShedPolicy};
+use qram_fleet::{
+    ClassStats, FleetConfig, FleetController, FleetResult, FleetStats, ShedPolicy, TenantStats,
+};
 use qram_plan::{planned_families, UNLIMITED_BUDGET};
 use qram_service::{
-    assign_specs_with, Admission, ArrivalProcess, BatchReport, QramService, QueryResult, QuerySpec,
-    ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks, Workload,
+    assign_specs_with, Admission, ArrivalProcess, BatchReport, CacheStats, QramService,
+    QueryResult, QuerySpec, ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks,
+    Workload,
 };
-use qram_telemetry::{host_wall, key, MetricsRegistry, TelemetryRecorder};
+use qram_telemetry::{fnv1a_64, host_wall, key, MetricsRegistry, TelemetryRecorder};
 
 struct Args {
     full: bool,
@@ -184,92 +199,55 @@ fn parse_args() -> Args {
         trace_out: None,
     };
     let mut args = std::env::args().skip(1);
-    let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} requires a value"))
-    };
     while let Some(arg) = args.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--full" => parsed.full = true,
-            "--arch" => parsed.arch = value("--arch", &mut args),
-            "--shots" => parsed.shots = Some(value("--shots", &mut args).parse().expect("--shots")),
-            "--seed" => parsed.seed = value("--seed", &mut args).parse().expect("--seed"),
-            "--threads" => {
-                parsed.threads = value("--threads", &mut args).parse().expect("--threads")
-            }
-            "--shot-threads" => {
-                parsed.shot_threads = value("--shot-threads", &mut args)
-                    .parse()
-                    .expect("--shot-threads")
-            }
-            "--path-chunks" => {
-                parsed.path_chunks = value("--path-chunks", &mut args)
-                    .parse()
-                    .expect("--path-chunks")
-            }
-            "--mode" => parsed.mode = value("--mode", &mut args),
-            "--workload" => parsed.workload = value("--workload", &mut args),
-            "--arrivals" => parsed.arrivals = value("--arrivals", &mut args),
+            "--arch" => parsed.arch = text(flag, args.next()),
+            "--shots" => parsed.shots = Some(num(flag, args.next())),
+            "--seed" => parsed.seed = num(flag, args.next()),
+            "--threads" => parsed.threads = num(flag, args.next()),
+            "--shot-threads" => parsed.shot_threads = num(flag, args.next()),
+            "--path-chunks" => parsed.path_chunks = num(flag, args.next()),
+            "--mode" => parsed.mode = text(flag, args.next()),
+            "--workload" => parsed.workload = text(flag, args.next()),
+            "--arrivals" => parsed.arrivals = text(flag, args.next()),
             "--load" => {
-                parsed.loads = value("--load", &mut args)
+                parsed.loads = text(flag, args.next())
                     .split(',')
                     .map(|x| x.trim().parse().expect("--load"))
                     .collect();
                 assert!(!parsed.loads.is_empty(), "--load needs at least one value");
             }
-            "--spec-skew" => {
-                parsed.spec_skew = value("--spec-skew", &mut args)
-                    .parse()
-                    .expect("--spec-skew")
-            }
-            "--requests" => {
-                parsed.requests = Some(value("--requests", &mut args).parse().expect("--requests"))
-            }
-            "--width" => parsed.width = Some(value("--width", &mut args).parse().expect("--width")),
-            "--theta" => parsed.theta = value("--theta", &mut args).parse().expect("--theta"),
-            "--batch" => parsed.batch = value("--batch", &mut args).parse().expect("--batch"),
-            "--cache" => parsed.cache = value("--cache", &mut args).parse().expect("--cache"),
-            "--queue" => parsed.queue = value("--queue", &mut args).parse().expect("--queue"),
-            "--deadline" => {
-                parsed.deadline = value("--deadline", &mut args).parse().expect("--deadline")
-            }
-            "--release-policy" => parsed.release_policy = value("--release-policy", &mut args),
+            "--spec-skew" => parsed.spec_skew = num(flag, args.next()),
+            "--requests" => parsed.requests = Some(num(flag, args.next())),
+            "--width" => parsed.width = Some(num(flag, args.next())),
+            "--theta" => parsed.theta = num(flag, args.next()),
+            "--batch" => parsed.batch = num(flag, args.next()),
+            "--cache" => parsed.cache = num(flag, args.next()),
+            "--queue" => parsed.queue = num(flag, args.next()),
+            "--deadline" => parsed.deadline = num(flag, args.next()),
+            "--release-policy" => parsed.release_policy = text(flag, args.next()),
             "--qubit-budget" => {
-                let budget: usize = value("--qubit-budget", &mut args)
-                    .parse()
-                    .expect("--qubit-budget");
+                let budget: usize = num(flag, args.next());
                 parsed.qubit_budget = if budget == 0 {
                     UNLIMITED_BUDGET
                 } else {
                     budget
                 };
             }
-            "--fleet" => parsed.fleet = value("--fleet", &mut args).parse().expect("--fleet"),
+            "--fleet" => parsed.fleet = num(flag, args.next()),
             "--tenants" => {
-                parsed.tenants = value("--tenants", &mut args).parse().expect("--tenants");
+                parsed.tenants = num(flag, args.next());
                 assert!(parsed.tenants > 0, "--tenants needs at least one tenant");
             }
-            "--front-capacity" => {
-                parsed.front_capacity = value("--front-capacity", &mut args)
-                    .parse()
-                    .expect("--front-capacity")
-            }
-            "--shed-policy" => parsed.shed_policy = value("--shed-policy", &mut args),
-            "--replication" => {
-                parsed.replication = value("--replication", &mut args)
-                    .parse()
-                    .expect("--replication")
-            }
+            "--front-capacity" => parsed.front_capacity = num(flag, args.next()),
+            "--shed-policy" => parsed.shed_policy = text(flag, args.next()),
+            "--replication" => parsed.replication = num(flag, args.next()),
             "--pin-planned" => parsed.pin_planned = true,
-            "--slo-deadline" => {
-                parsed.slo_deadline = value("--slo-deadline", &mut args)
-                    .parse()
-                    .expect("--slo-deadline")
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value("--out", &mut args))),
-            "--trace-out" => {
-                parsed.trace_out = Some(PathBuf::from(value("--trace-out", &mut args)))
-            }
+            "--slo-deadline" => parsed.slo_deadline = num(flag, args.next()),
+            "--out" => parsed.out = Some(PathBuf::from(text(flag, args.next()))),
+            "--trace-out" => parsed.trace_out = Some(PathBuf::from(text(flag, args.next()))),
             other => panic!(
                 "unknown flag `{other}` (expected --full, --arch NAME, --shots N, --seed N, \
                  --threads N, --shot-threads N, --path-chunks N, --mode closed|open, \
@@ -284,6 +262,19 @@ fn parse_args() -> Args {
         }
     }
     parsed
+}
+
+/// The value following `flag` on the command line.
+fn text(flag: &str, value: Option<String>) -> String {
+    value.unwrap_or_else(|| panic!("{flag} requires a value"))
+}
+
+/// The value following `flag`, parsed.
+fn num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T
+where
+    T::Err: std::fmt::Debug,
+{
+    text(flag, value).parse().expect(flag)
 }
 
 /// The hot circuit shapes the workload cycles over for the selected
@@ -419,709 +410,6 @@ fn service_config(args: &Args, shots: usize) -> ServiceConfig {
         .with_release_policy(release_policy(args))
 }
 
-/// Digest of everything deterministic about a result set: ids,
-/// addresses, serving architectures, values, virtual timestamps,
-/// latency breakdowns, and the fidelity estimates bit by bit. Equal
-/// digests across `--threads` values certify the executor's
-/// bit-identity — including for mixed-architecture workloads.
-fn results_digest(results: &[QueryResult]) -> u64 {
-    let mut bytes: Vec<u8> = Vec::with_capacity(results.len() * 96);
-    for r in results {
-        bytes.extend(r.id.to_le_bytes());
-        bytes.extend(r.address.to_le_bytes());
-        bytes.extend(r.spec.arch.family().as_bytes());
-        bytes.push(r.value as u8);
-        bytes.extend(r.arrival.to_le_bytes());
-        bytes.extend(r.completed.to_le_bytes());
-        bytes.extend(r.latency.queue_wait.to_le_bytes());
-        bytes.extend(r.latency.compile.to_le_bytes());
-        bytes.extend(r.latency.execute.to_le_bytes());
-        bytes.extend(r.fidelity.mean.to_le_bytes());
-        bytes.extend((r.fidelity.shots as u64).to_le_bytes());
-    }
-    fnv1a_64(bytes)
-}
-
-/// Virtual end-to-end latency percentiles `[p50, p90, p99, max]` in ns.
-fn latency_percentiles(results: &[QueryResult]) -> [f64; 4] {
-    let totals: Vec<f64> = results.iter().map(|r| r.latency.total() as f64).collect();
-    let max = totals.iter().copied().fold(0.0f64, f64::max);
-    [
-        percentile(&totals, 50.0),
-        percentile(&totals, 90.0),
-        percentile(&totals, 99.0),
-        max,
-    ]
-}
-
-fn mean(values: impl Iterator<Item = f64>, count: usize) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    values.sum::<f64>() / count as f64
-}
-
-/// Slices one or more runs per architecture family: requests,
-/// throughput and latency from the results, batch-level cache behavior
-/// from the batch reports (a batch that charged compile ticks was a
-/// cache miss).
-///
-/// Each `(results, batches)` pair is an independent run with its own
-/// virtual clock (open mode sweeps one per load point), so throughput
-/// sums each run's span rather than overlapping their clocks — the
-/// union's `max(completed) − min(arrival)` would divide every run's
-/// requests by roughly one run's window and report impossible rates.
-fn arch_breakdown(runs: &[(&[QueryResult], &[BatchReport])]) -> Vec<ServeArchPoint> {
-    let mut families: Vec<&'static str> = Vec::new();
-    for (results, _) in runs {
-        for r in *results {
-            let family = r.spec.arch.family();
-            if !families.contains(&family) {
-                families.push(family);
-            }
-        }
-    }
-    families
-        .into_iter()
-        .map(|family| {
-            let mut requests = 0usize;
-            let mut span = 0u64;
-            let mut totals: Vec<f64> = Vec::new();
-            let mut executes: Vec<f64> = Vec::new();
-            let mut fired = 0usize;
-            let mut compiled = 0usize;
-            for (results, batches) in runs {
-                let slice: Vec<&QueryResult> = results
-                    .iter()
-                    .filter(|r| r.spec.arch.family() == family)
-                    .collect();
-                if !slice.is_empty() {
-                    let first_arrival = slice.iter().map(|r| r.arrival).min().unwrap_or(0);
-                    let last_completed = slice.iter().map(|r| r.completed).max().unwrap_or(0);
-                    span += last_completed.saturating_sub(first_arrival).max(1);
-                }
-                requests += slice.len();
-                totals.extend(slice.iter().map(|r| r.latency.total() as f64));
-                executes.extend(slice.iter().map(|r| r.latency.execute as f64));
-                fired += batches
-                    .iter()
-                    .filter(|b| b.spec.arch.family() == family)
-                    .count();
-                compiled += batches
-                    .iter()
-                    .filter(|b| b.spec.arch.family() == family && b.compile > 0)
-                    .count();
-            }
-            let max = totals.iter().copied().fold(0.0f64, f64::max);
-            ServeArchPoint {
-                arch: family.into(),
-                requests,
-                virtual_rps: requests as f64 * 1e9 / span.max(1) as f64,
-                latency_ns: [
-                    percentile(&totals, 50.0),
-                    percentile(&totals, 90.0),
-                    percentile(&totals, 99.0),
-                    max,
-                ],
-                mean_execute_ns: mean(executes.iter().copied(), executes.len()),
-                batches: fired,
-                compiled,
-            }
-        })
-        .collect()
-}
-
-/// The fixed context of an open-loop sweep (everything but the load
-/// multiplier).
-struct OpenSweep<'a> {
-    args: &'a Args,
-    memory: &'a Memory,
-    workload: &'a Workload,
-    specs: &'a [QuerySpec],
-    shots: usize,
-    requests: usize,
-    capacity_rps: f64,
-}
-
-/// One open-loop operating point's full output: the condensed summary
-/// point, raw results and batch reports, the point's recorder (span log
-/// + recorder-side metrics), and its merged metrics registry.
-struct OpenPointRun {
-    point: ServeLoadPoint,
-    results: Vec<QueryResult>,
-    batch_reports: Vec<BatchReport>,
-    recorder: TelemetryRecorder,
-    telemetry: MetricsRegistry,
-}
-
-/// Runs one open-loop operating point under `policy` and condenses it.
-/// The arrival stream and spec assignment depend only on `(args,
-/// load_factor)`, so two policies at the same point serve *identical*
-/// arrivals — the policy-compare block relies on this.
-fn run_open_point(sweep: &OpenSweep<'_>, load_factor: f64, policy: ReleasePolicy) -> OpenPointRun {
-    let OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    } = *sweep;
-    let offered_rps = capacity_rps * load_factor;
-    let mean_gap = 1e9 / offered_rps;
-    let arrivals = build_arrivals(args, mean_gap).arrivals(requests);
-    let submissions = assign_specs_with(workload, specs, spec_mix(args), requests);
-
-    let mut service = QramService::with_recorder(
-        memory.clone(),
-        service_config(args, shots).with_release_policy(policy),
-        TelemetryRecorder::new(),
-    );
-    for (&arrival, &(address, spec)) in arrivals.iter().zip(&submissions) {
-        match service.try_submit_at(address, spec, arrival) {
-            Admission::Accepted(_) | Admission::Shed { .. } => {}
-            Admission::Rejected(reason) => panic!("generated workload rejected: {reason}"),
-        }
-    }
-    let results = service.run_until_idle();
-    let batch_reports = service.take_batch_reports();
-
-    let first_arrival = arrivals.first().copied().unwrap_or(0);
-    let last_completed = results.iter().map(|r| r.completed).max().unwrap_or(0);
-    let span = last_completed.saturating_sub(first_arrival).max(1) as f64;
-    let completed = results.len();
-    let point = ServeLoadPoint {
-        offered_rps,
-        load_factor,
-        offered: requests,
-        completed,
-        shed: service.admission_stats().shed,
-        achieved_rps: completed as f64 * 1e9 / span,
-        latency_ns: latency_percentiles(&results),
-        mean_queue_wait_ns: mean(
-            results.iter().map(|r| r.latency.queue_wait as f64),
-            completed,
-        ),
-        mean_compile_ns: mean(results.iter().map(|r| r.latency.compile as f64), completed),
-        mean_execute_ns: mean(results.iter().map(|r| r.latency.execute as f64), completed),
-        cache_hit_rate: service.cache_stats().hit_rate(),
-    };
-    let mut telemetry = service.metrics_snapshot();
-    telemetry.merge_from(service.recorder().metrics());
-    OpenPointRun {
-        point,
-        results,
-        batch_reports,
-        recorder: service.recorder().clone(),
-        telemetry,
-    }
-}
-
-/// The flat `telemetry` section of the v5 summary: stage-histogram
-/// percentiles, admission flow conservation, release-policy counters,
-/// and the trace/metrics digests. Every key is globally unique within
-/// the summary so the first-occurrence field parser in
-/// `qram_bench::report` reads them without structural JSON parsing.
-fn telemetry_json(telemetry: &MetricsRegistry, trace_digest: u64) -> String {
-    let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q));
-    let c = |name: &str| telemetry.counter(name);
-    let arrivals = c(key::ADMISSION_ACCEPTED) + c(key::ADMISSION_SHED) + c(key::ADMISSION_REJECTED);
-    format!(
-        "{{\n    \"trace_digest\": \"{trace_digest:016x}\",\n    \
-         \"telemetry_digest\": \"{:016x}\",\n    \
-         \"arrivals\": {arrivals},\n    \"accepted\": {},\n    \"shed\": {},\n    \
-         \"rejected\": {},\n    \"completed\": {},\n    \"batches_fired\": {},\n    \
-         \"queue_depth_high_water\": {},\n    \
-         \"stage_queue_wait_p50_ns\": {},\n    \"stage_queue_wait_p99_ns\": {},\n    \
-         \"stage_compile_p50_ns\": {},\n    \"stage_compile_p99_ns\": {},\n    \
-         \"stage_execute_p50_ns\": {},\n    \"stage_execute_p99_ns\": {},\n    \
-         \"stage_total_p50_ns\": {},\n    \"stage_total_p90_ns\": {},\n    \
-         \"stage_total_p99_ns\": {},\n    \"batch_size_p50\": {},\n    \
-         \"policy_cache_affine_fires\": {},\n    \"policy_age_cap_forced\": {},\n    \
-         \"sim_shots\": {},\n    \"sim_gate_applications\": {}\n  }}",
-        telemetry.digest(),
-        c(key::ADMISSION_ACCEPTED),
-        c(key::ADMISSION_SHED),
-        c(key::ADMISSION_REJECTED),
-        c(key::SERVICE_COMPLETED),
-        c(key::BATCHES_FIRED),
-        telemetry.gauge(key::QUEUE_DEPTH_HIGH_WATER),
-        p(key::STAGE_QUEUE_WAIT, 50.0),
-        p(key::STAGE_QUEUE_WAIT, 99.0),
-        p(key::STAGE_COMPILE, 50.0),
-        p(key::STAGE_COMPILE, 99.0),
-        p(key::STAGE_EXECUTE, 50.0),
-        p(key::STAGE_EXECUTE, 99.0),
-        p(key::STAGE_TOTAL, 50.0),
-        p(key::STAGE_TOTAL, 90.0),
-        p(key::STAGE_TOTAL, 99.0),
-        p(key::BATCH_SIZE, 50.0),
-        c(key::POLICY_CACHE_AFFINE_FIRES),
-        c(key::POLICY_AGE_CAP_FORCED),
-        c(key::SIM_SHOTS),
-        c(key::SIM_GATES),
-    )
-}
-
-/// Prints the human-readable stage breakdown plus the digest lines CI
-/// diffs across parallelism settings.
-fn print_telemetry(telemetry: &MetricsRegistry, trace_digest: u64) {
-    let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q));
-    print_row(&[
-        "stage_queue_wait_us".into(),
-        format!(
-            "p50 {:.1}, p99 {:.1}",
-            p(key::STAGE_QUEUE_WAIT, 50.0) as f64 / 1e3,
-            p(key::STAGE_QUEUE_WAIT, 99.0) as f64 / 1e3
-        ),
-    ]);
-    print_row(&[
-        "stage_compile_us".into(),
-        format!(
-            "p50 {:.1}, p99 {:.1}",
-            p(key::STAGE_COMPILE, 50.0) as f64 / 1e3,
-            p(key::STAGE_COMPILE, 99.0) as f64 / 1e3
-        ),
-    ]);
-    print_row(&[
-        "stage_execute_us".into(),
-        format!(
-            "p50 {:.1}, p99 {:.1}",
-            p(key::STAGE_EXECUTE, 50.0) as f64 / 1e3,
-            p(key::STAGE_EXECUTE, 99.0) as f64 / 1e3
-        ),
-    ]);
-    print_row(&[
-        "queue_depth_high_water".into(),
-        telemetry.gauge(key::QUEUE_DEPTH_HIGH_WATER).to_string(),
-    ]);
-    println!("# trace_digest: {trace_digest:016x}");
-    println!("# telemetry_digest: {:016x}", telemetry.digest());
-}
-
-/// Writes the full trace export: per-section canonical span logs plus
-/// the merged metrics registry.
-fn write_trace(
-    path: &PathBuf,
-    mode: &str,
-    sections: &[(String, &TelemetryRecorder)],
-    merged: &MetricsRegistry,
-    trace_digest: u64,
-) {
-    let mut body = format!(
-        "{{\n  \"schema\": \"qram-bench/trace/v1\",\n  \"mode\": \"{mode}\",\n  \
-         \"trace_digest\": \"{trace_digest:016x}\",\n  \
-         \"telemetry_digest\": \"{:016x}\",\n  \"sections\": [",
-        merged.digest()
-    );
-    let rendered: Vec<String> = sections
-        .iter()
-        .map(|(label, recorder)| {
-            format!(
-                "\n    {{\n      \"label\": \"{label}\",\n      \"trace_digest\": \"{:016x}\",\n      \"spans\":\n{}\n    }}",
-                recorder.trace_digest(),
-                recorder.tracer().to_json("      ")
-            )
-        })
-        .collect();
-    body.push_str(&rendered.join(","));
-    body.push_str("\n  ],\n  \"metrics\":\n");
-    body.push_str(&merged.to_json("  "));
-    body.push_str("\n}\n");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("# trace written to {}", path.display()),
-        Err(e) => {
-            eprintln!("serve_bench: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-}
-
-fn write_summary(out: Option<PathBuf>, json: &str) {
-    let out_path = out.unwrap_or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|d| find_repo_root(&d))
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join("BENCH_SERVE.json")
-    });
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("# summary written to {}", out_path.display()),
-        Err(e) => {
-            eprintln!("serve_bench: cannot write {}: {e}", out_path.display());
-            std::process::exit(2);
-        }
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    let n = args.width.unwrap_or(if args.full { 6 } else { 4 });
-    let requests = args.requests.unwrap_or(if args.full { 1024 } else { 256 });
-    let shots = args.shots.unwrap_or(if args.full { 32 } else { 8 });
-
-    let memory = experiment_memory(n, args.seed);
-    let workload = build_workload(&args, n);
-    let specs = hot_specs(&args.arch, n, args.qubit_budget);
-    match args.mode.as_str() {
-        "closed" => {
-            assert!(
-                args.fleet == 0,
-                "--fleet requires --mode open (the fleet controller is an open-loop front door)"
-            );
-            run_closed(&args, &memory, &workload, &specs, shots, requests)
-        }
-        "open" if args.fleet > 0 => {
-            run_open_fleet(&args, &memory, &workload, &specs, shots, requests)
-        }
-        "open" => run_open(&args, &memory, &workload, &specs, shots, requests),
-        other => panic!("unknown mode `{other}` (expected closed, open)"),
-    }
-}
-
-/// Closed loop: every request is queued up front (a blocking client
-/// population), then the pipeline drains to idle.
-fn run_closed(
-    args: &Args,
-    memory: &Memory,
-    workload: &Workload,
-    specs: &[QuerySpec],
-    shots: usize,
-    requests: usize,
-) {
-    let mut service = QramService::with_recorder(
-        memory.clone(),
-        service_config(args, shots),
-        TelemetryRecorder::new(),
-    );
-    service.submit_all(assign_specs_with(workload, specs, spec_mix(args), requests));
-
-    let start = host_wall();
-    let report = service.drain();
-    let wall = start.elapsed();
-
-    let latency = latency_percentiles(&report.results);
-    let wall_rps = report.results.len() as f64 / wall.as_secs_f64().max(1e-9);
-    let virtual_span = report
-        .results
-        .iter()
-        .map(|r| r.completed)
-        .max()
-        .unwrap_or(0)
-        .max(1) as f64;
-    let virtual_rps = report.results.len() as f64 * 1e9 / virtual_span;
-    let count = report.results.len();
-    let mean_fidelity = mean(report.results.iter().map(|r| r.fidelity.mean), count);
-    let mean_queue_wait = mean(
-        report.results.iter().map(|r| r.latency.queue_wait as f64),
-        count,
-    );
-    let digest = results_digest(&report.results);
-    let mut telemetry = service.metrics_snapshot();
-    telemetry.merge_from(service.recorder().metrics());
-    let trace_digest = service.recorder().trace_digest();
-
-    let per_arch = arch_breakdown(&[(&report.results[..], &report.batches[..])]);
-
-    println!(
-        "# serve_bench closed: {} x {} over n={} (arch {}, {} hot specs, batch <= {}, {} shots, {} workers x {} shot-threads)",
-        count,
-        workload.name(),
-        memory.address_width(),
-        args.arch,
-        specs.len(),
-        args.batch,
-        shots,
-        report.workers,
-        args.shot_threads,
-    );
-    print_row(&["metric", "value"].map(String::from));
-    print_row(&["requests".into(), count.to_string()]);
-    print_row(&["batches".into(), report.batches.len().to_string()]);
-    print_row(&[
-        "release_policy".into(),
-        release_policy(args).label().to_string(),
-    ]);
-    print_row(&["virtual_rps".into(), format!("{virtual_rps:.1}")]);
-    print_row(&["wall_rps".into(), format!("{wall_rps:.1}")]);
-    print_row(&["latency_p50_us".into(), format!("{:.1}", latency[0] / 1e3)]);
-    print_row(&["latency_p90_us".into(), format!("{:.1}", latency[1] / 1e3)]);
-    print_row(&["latency_p99_us".into(), format!("{:.1}", latency[2] / 1e3)]);
-    print_row(&[
-        "mean_queue_wait_us".into(),
-        format!("{:.1}", mean_queue_wait / 1e3),
-    ]);
-    print_row(&["cache_hits".into(), report.cache.hits.to_string()]);
-    print_row(&["cache_misses".into(), report.cache.misses.to_string()]);
-    print_row(&["cache_evictions".into(), report.cache.evictions.to_string()]);
-    print_row(&[
-        "cache_hit_rate".into(),
-        format!("{:.3}", report.cache.hit_rate()),
-    ]);
-    print_row(&["mean_fidelity".into(), format!("{mean_fidelity:.4}")]);
-    for point in &per_arch {
-        print_row(&[
-            format!("arch[{}]", point.arch),
-            format!(
-                "{} reqs, p50 {:.1} us, exec {:.1} us, batch hit {:.2}",
-                point.requests,
-                point.latency_ns[0] / 1e3,
-                point.mean_execute_ns / 1e3,
-                point.batch_hit_rate()
-            ),
-        ]);
-    }
-    print_telemetry(&telemetry, trace_digest);
-    println!("# results_digest: {digest:016x}");
-
-    let json = format!(
-        "{{\n  \"schema\": \"qram-bench/serve-summary/v6\",\n  \"mode\": \"closed\",\n  \
-         \"arch\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"spec_mix\": \"{}\",\n  \"address_width\": {},\n  \
-         \"requests\": {count},\n  \"batches\": {},\n  \"specs\": {},\n  \"shots\": {shots},\n  \
-         \"seed\": {},\n  \"shot_threads\": {},\n  \"path_chunks\": {},\n  \
-         \"release_policy\": \"{}\",\n  \"age_cap_ns\": {},\n  \"qubit_budget\": {},\n  \
-         \"results_digest\": \"{digest:016x}\",\n  \
-         \"virtual_rps\": {virtual_rps:.1},\n  \"wall_rps\": {wall_rps:.1},\n  \
-         \"latency_ns\": {{\"p50\": {:.0}, \"p90\": {:.0}, \"p99\": {:.0}, \"max\": {:.0}}},\n  \
-         \"mean_queue_wait_ns\": {mean_queue_wait:.1},\n  \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4}}},\n  \
-         \"mean_fidelity\": {mean_fidelity:.6},\n  \
-         \"telemetry\": {},\n  \
-         \"per_arch\": {}\n}}\n",
-        args.arch,
-        workload.name(),
-        mix_name(args),
-        memory.address_width(),
-        report.batches.len(),
-        specs.len(),
-        args.seed,
-        args.shot_threads,
-        args.path_chunks,
-        release_policy(args).label(),
-        policy_age_cap(release_policy(args)),
-        budget_field(args),
-        latency[0],
-        latency[1],
-        latency[2],
-        latency[3],
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.evictions,
-        report.cache.hit_rate(),
-        telemetry_json(&telemetry, trace_digest),
-        serve_arch_json(&per_arch),
-    );
-    write_summary(args.out.clone(), &json);
-    if let Some(path) = &args.trace_out {
-        let sections = [("closed".to_string(), service.recorder())];
-        write_trace(path, "closed", &sections, &telemetry, trace_digest);
-    }
-}
-
-/// Open loop: arrivals at fixed offered rates, swept across load
-/// multipliers of the modeled capacity.
-fn run_open(
-    args: &Args,
-    memory: &Memory,
-    workload: &Workload,
-    specs: &[QuerySpec],
-    shots: usize,
-    requests: usize,
-) {
-    // The modeled capacity: virtual execution units over the mean
-    // per-request execute cost of the hot specs, each priced from its
-    // architecture's measured resources.
-    let cost = service_config(args, shots).cost;
-    let mean_execute = specs
-        .iter()
-        .map(|spec| cost.execute_cost(&spec.arch.instantiate().resources(memory), shots))
-        .sum::<u64>() as f64
-        / specs.len() as f64;
-    let capacity_rps = cost.capacity_rps(mean_execute.round() as u64);
-
-    println!(
-        "# serve_bench open: {} x {} + {} arrivals over n={} (arch {}, {} hot specs, {} shots, queue {}, deadline {} ns, capacity {:.0} rps)",
-        requests,
-        workload.name(),
-        args.arrivals,
-        memory.address_width(),
-        args.arch,
-        specs.len(),
-        shots,
-        args.queue,
-        args.deadline,
-        capacity_rps,
-    );
-    print_row(
-        &[
-            "load",
-            "offered",
-            "completed",
-            "shed",
-            "rps",
-            "p50_us",
-            "p99_us",
-            "qwait_us",
-            "hit_rate",
-        ]
-        .map(String::from),
-    );
-    let sweep = OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    };
-    let mut points = Vec::new();
-    let mut digest_bytes: Vec<u8> = Vec::new();
-    let mut trace_digest_bytes: Vec<u8> = Vec::new();
-    let mut merged_telemetry = MetricsRegistry::new();
-    let mut point_runs: Vec<OpenPointRun> = Vec::new();
-    for &load_factor in &args.loads {
-        let run = run_open_point(&sweep, load_factor, release_policy(args));
-        let point = &run.point;
-        print_row(&[
-            format!("{load_factor:.2}"),
-            point.offered.to_string(),
-            point.completed.to_string(),
-            point.shed.to_string(),
-            format!("{:.0}", point.achieved_rps),
-            format!("{:.1}", point.latency_ns[0] / 1e3),
-            format!("{:.1}", point.latency_ns[2] / 1e3),
-            format!("{:.1}", point.mean_queue_wait_ns / 1e3),
-            format!("{:.3}", point.cache_hit_rate),
-        ]);
-        digest_bytes.extend(results_digest(&run.results).to_le_bytes());
-        trace_digest_bytes.extend(run.recorder.trace_digest().to_le_bytes());
-        merged_telemetry.merge_from(&run.telemetry);
-        points.push(run.point.clone());
-        point_runs.push(run);
-    }
-    let digest = fnv1a_64(digest_bytes);
-    // Each operating point runs its own service (its own virtual
-    // clock), so the sweep's trace digest chains the per-point span-log
-    // digests in sweep order rather than merging incomparable clocks.
-    let trace_digest = fnv1a_64(trace_digest_bytes);
-    print_telemetry(&merged_telemetry, trace_digest);
-    println!("# results_digest: {digest:016x}");
-    // The per-architecture slice aggregates every operating point (the
-    // sweep itself stays the per-point view); each point keeps its own
-    // virtual-clock span so the aggregate throughput stays physical.
-    let runs: Vec<(&[QueryResult], &[BatchReport])> = point_runs
-        .iter()
-        .map(|r| (&r.results[..], &r.batch_reports[..]))
-        .collect();
-    let per_arch = arch_breakdown(&runs);
-
-    // Head-to-head release-policy comparison at the swept load nearest
-    // the modeled capacity (load 1.0): below it queues barely form, far
-    // above it every pending group ages past the cap and cache-affine
-    // correctly degenerates to FIFO — the capacity point is where the
-    // policies actually diverge. Both policies serve *identical*
-    // arrivals (`run_open_point` derives the stream purely from the
-    // flags and the load factor), so every delta below is the dispatch
-    // policy's doing.
-    let compare_load = args
-        .loads
-        .iter()
-        .copied()
-        .min_by(|a, b| {
-            (a - 1.0)
-                .abs()
-                .partial_cmp(&(b - 1.0).abs())
-                .expect("load factors are finite")
-        })
-        .expect("--load is non-empty");
-    let oldest = run_open_point(&sweep, compare_load, ReleasePolicy::OldestFirst);
-    let affine = run_open_point(&sweep, compare_load, ReleasePolicy::cache_affine());
-    print_row(&[
-        "policy_p50_us".into(),
-        format!(
-            "oldest-first {:.1} vs cache-affine {:.1} @ load {compare_load:.2}",
-            oldest.point.latency_ns[0] / 1e3,
-            affine.point.latency_ns[0] / 1e3
-        ),
-    ]);
-    print_row(&[
-        "policy_mean_compile_us".into(),
-        format!(
-            "oldest-first {:.1} vs cache-affine {:.1}",
-            oldest.point.mean_compile_ns / 1e3,
-            affine.point.mean_compile_ns / 1e3
-        ),
-    ]);
-    let policy_compare = format!(
-        "{{\n    \"compare_load\": {compare_load:.2},\n    \
-         \"p50_oldest_first_ns\": {:.0},\n    \"p99_oldest_first_ns\": {:.0},\n    \
-         \"mean_compile_oldest_first_ns\": {:.1},\n    \
-         \"mean_queue_wait_oldest_first_ns\": {:.1},\n    \
-         \"digest_oldest_first\": \"{:016x}\",\n    \
-         \"p50_cache_affine_ns\": {:.0},\n    \"p99_cache_affine_ns\": {:.0},\n    \
-         \"mean_compile_cache_affine_ns\": {:.1},\n    \
-         \"mean_queue_wait_cache_affine_ns\": {:.1},\n    \
-         \"digest_cache_affine\": \"{:016x}\",\n    \
-         \"compare_cache_affine_fires\": {},\n    \"compare_age_cap_forced\": {}\n  }}",
-        oldest.point.latency_ns[0],
-        oldest.point.latency_ns[2],
-        oldest.point.mean_compile_ns,
-        oldest.point.mean_queue_wait_ns,
-        results_digest(&oldest.results),
-        affine.point.latency_ns[0],
-        affine.point.latency_ns[2],
-        affine.point.mean_compile_ns,
-        affine.point.mean_queue_wait_ns,
-        results_digest(&affine.results),
-        affine.telemetry.counter(key::POLICY_CACHE_AFFINE_FIRES),
-        affine.telemetry.counter(key::POLICY_AGE_CAP_FORCED),
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"qram-bench/serve-summary/v6\",\n  \"mode\": \"open\",\n  \
-         \"arch\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"arrivals\": \"{}\",\n  \"spec_mix\": \"{}\",\n  \
-         \"address_width\": {},\n  \"requests_per_point\": {requests},\n  \"specs\": {},\n  \
-         \"shots\": {shots},\n  \"seed\": {},\n  \"shot_threads\": {},\n  \
-         \"path_chunks\": {},\n  \"queue_capacity\": {},\n  \"deadline_ns\": {},\n  \"batch_limit\": {},\n  \
-         \"release_policy\": \"{}\",\n  \"age_cap_ns\": {},\n  \"qubit_budget\": {},\n  \
-         \"capacity_rps\": {capacity_rps:.1},\n  \"results_digest\": \"{digest:016x}\",\n  \
-         \"telemetry\": {},\n  \
-         \"policy_compare\": {policy_compare},\n  \
-         \"sweep\": {},\n  \"per_arch\": {}\n}}\n",
-        args.arch,
-        workload.name(),
-        args.arrivals,
-        mix_name(args),
-        memory.address_width(),
-        specs.len(),
-        args.seed,
-        args.shot_threads,
-        args.path_chunks,
-        args.queue,
-        args.deadline,
-        args.batch,
-        release_policy(args).label(),
-        policy_age_cap(release_policy(args)),
-        budget_field(args),
-        telemetry_json(&merged_telemetry, trace_digest),
-        serve_sweep_json(&points),
-        serve_arch_json(&per_arch),
-    );
-    write_summary(args.out.clone(), &json);
-    if let Some(path) = &args.trace_out {
-        let sections: Vec<(String, &TelemetryRecorder)> = point_runs
-            .iter()
-            .zip(&args.loads)
-            .map(|(run, load)| (format!("load={load:.2}"), &run.recorder))
-            .collect();
-        write_trace(path, "open", &sections, &merged_telemetry, trace_digest);
-    }
-}
-
 /// The front-door overflow policy selected by `--shed-policy`.
 fn shed_policy(args: &Args) -> ShedPolicy {
     match args.shed_policy.as_str() {
@@ -1132,12 +420,12 @@ fn shed_policy(args: &Args) -> ShedPolicy {
 }
 
 /// The fleet topology selected by the flags: `--fleet` shards each
-/// running the bare service configuration, fronted by a
-/// `--front-capacity` door under `--shed-policy`.
-fn fleet_config(args: &Args, shots: usize) -> FleetConfig {
+/// running `base`, fronted by a `--front-capacity` door under
+/// `--shed-policy`.
+fn fleet_config(args: &Args, base: ServiceConfig) -> FleetConfig {
     let mut config = FleetConfig::default()
         .with_shards(args.fleet)
-        .with_shard_base(service_config(args, shots))
+        .with_shard_base(base)
         .with_front_capacity(args.front_capacity)
         .with_shed_policy(shed_policy(args))
         .with_replication(args.replication);
@@ -1166,6 +454,29 @@ fn slo_for(index: u64, deadline: Ticks) -> SloClass {
     }
 }
 
+/// Digest of everything deterministic about a result set: ids,
+/// addresses, serving architectures, values, virtual timestamps,
+/// latency breakdowns, and the fidelity estimates bit by bit. Equal
+/// digests across `--threads` values certify the executor's
+/// bit-identity — including for mixed-architecture workloads.
+fn results_digest<'a>(results: impl Iterator<Item = &'a QueryResult>) -> u64 {
+    let mut bytes: Vec<u8> = Vec::new();
+    for r in results {
+        bytes.extend(r.id.to_le_bytes());
+        bytes.extend(r.address.to_le_bytes());
+        bytes.extend(r.spec.arch.family().as_bytes());
+        bytes.push(r.value as u8);
+        bytes.extend(r.arrival.to_le_bytes());
+        bytes.extend(r.completed.to_le_bytes());
+        bytes.extend(r.latency.queue_wait.to_le_bytes());
+        bytes.extend(r.latency.compile.to_le_bytes());
+        bytes.extend(r.latency.execute.to_le_bytes());
+        bytes.extend(r.fidelity.mean.to_le_bytes());
+        bytes.extend((r.fidelity.shots as u64).to_le_bytes());
+    }
+    fnv1a_64(bytes)
+}
+
 /// Digest of everything deterministic about a fleet result set: the
 /// fleet-level placement and queueing context on top of each
 /// shard-level result's own deterministic fields.
@@ -1188,329 +499,840 @@ fn fleet_results_digest(results: &[FleetResult]) -> u64 {
     fnv1a_64(bytes)
 }
 
-/// Door-to-completion p99 of the interactive class (0 when the point
-/// completed no interactive requests).
-fn interactive_p99(results: &[FleetResult]) -> f64 {
-    let totals: Vec<f64> = results
-        .iter()
-        .filter(|r| matches!(r.slo, SloClass::Interactive { .. }))
-        .map(|r| r.total_latency() as f64)
-        .collect();
-    percentile(&totals, 99.0)
+/// Latency percentiles `[p50, p90, p99, max]` in virtual ns.
+fn latency_percentiles(totals: &[f64]) -> [f64; 4] {
+    let max = totals.iter().copied().fold(0.0f64, f64::max);
+    [
+        percentile(totals, 50.0),
+        percentile(totals, 90.0),
+        percentile(totals, 99.0),
+        max,
+    ]
 }
 
-/// One fleet operating point's full output: the condensed summary point
-/// (latencies are door-to-completion, front wait included), raw fleet
-/// results, the front-door recorder, the merged fleet+shard metrics,
-/// the fleet trace digest, and the per-tenant / per-SLO / per-shard
-/// tallies.
-struct FleetPointRun {
-    point: ServeLoadPoint,
-    results: Vec<FleetResult>,
-    recorder: TelemetryRecorder,
-    telemetry: MetricsRegistry,
-    trace_digest: u64,
-    per_tenant: Vec<(u32, u64, u64)>,
-    per_class: Vec<(&'static str, u64, u64, u64, u64)>,
-    per_shard: Vec<(usize, u64, u64, u64)>,
-}
-
-/// Runs one fleet operating point under `policy` and condenses it. Like
-/// [`run_open_point`], the arrival stream, spec assignment, and
-/// tenant/SLO tagging depend only on `(args, load_factor)`, so two shed
-/// policies at the same point serve *byte-identical* offered streams —
-/// the `slo_compare` block relies on this.
-fn run_fleet_point(sweep: &OpenSweep<'_>, load_factor: f64, policy: ShedPolicy) -> FleetPointRun {
-    let OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    } = *sweep;
-    let offered_rps = capacity_rps * load_factor;
-    let mean_gap = 1e9 / offered_rps;
-    let arrivals = build_arrivals(args, mean_gap).arrivals(requests);
-    let submissions = assign_specs_with(workload, specs, spec_mix(args), requests);
-
-    let mut fleet = FleetController::with_telemetry(
-        memory.clone(),
-        fleet_config(args, shots).with_shed_policy(policy),
-    );
-    for (i, (&arrival, &(address, spec))) in arrivals.iter().zip(&submissions).enumerate() {
-        let tenant = tenant_for(i as u64, args.tenants, args.seed);
-        let slo = slo_for(i as u64, args.slo_deadline);
-        fleet.submit_at(address, spec, arrival, tenant, slo);
+fn mean(values: impl Iterator<Item = f64>, count: usize) -> f64 {
+    if count == 0 {
+        return 0.0;
     }
-    let results = fleet.run_until_idle();
+    values.sum::<f64>() / count as f64
+}
+
+/// The system an operating point serves through.
+enum Target {
+    /// One bare service (closed loop, or open loop without `--fleet`).
+    Service(QramService<TelemetryRecorder>),
+    /// A fleet controller over `--fleet` shards (open loop only).
+    Fleet(FleetController<TelemetryRecorder>),
+}
+
+impl Target {
+    fn shards(&self) -> &[QramService<TelemetryRecorder>] {
+        match self {
+            Target::Service(service) => std::slice::from_ref(service),
+            Target::Fleet(fleet) => fleet.shards(),
+        }
+    }
+
+    fn take_batch_reports(&mut self) -> Vec<BatchReport> {
+        match self {
+            Target::Service(service) => service.take_batch_reports(),
+            Target::Fleet(fleet) => fleet.take_batch_reports(),
+        }
+    }
+
+    /// The recorder a trace section exports: the service's own, or the
+    /// fleet front door's.
+    fn recorder(&self) -> &TelemetryRecorder {
+        match self {
+            Target::Service(service) => service.recorder(),
+            Target::Fleet(fleet) => fleet.recorder(),
+        }
+    }
+
+    fn trace_digest(&self) -> u64 {
+        match self {
+            Target::Service(service) => service.recorder().trace_digest(),
+            Target::Fleet(fleet) => fleet.trace_digest(),
+        }
+    }
+
+    fn fleet_stats(&self) -> &FleetStats {
+        match self {
+            Target::Fleet(fleet) => fleet.stats(),
+            Target::Service(_) => unreachable!("fleet sections only read fleet points"),
+        }
+    }
+
+    /// The always-on counters merged with every recorder's metrics.
+    fn telemetry(&self) -> MetricsRegistry {
+        let mut merged = match self {
+            Target::Service(service) => service.metrics_snapshot(),
+            Target::Fleet(fleet) => fleet.metrics_snapshot(),
+        };
+        for shard in self.shards() {
+            merged.merge_from(shard.recorder().metrics());
+        }
+        if let Target::Fleet(fleet) = self {
+            merged.merge_from(fleet.recorder().metrics());
+        }
+        merged
+    }
+
+    /// Cache counters summed over the shards.
+    fn cache_stats(&self) -> CacheStats {
+        let mut sum = CacheStats::default();
+        for c in self.shards().iter().map(QramService::cache_stats) {
+            sum.lookups += c.lookups;
+            sum.hits += c.hits;
+            sum.misses += c.misses;
+            sum.evictions += c.evictions;
+        }
+        sum
+    }
+}
+
+/// The fixed context of a run: everything but the operating point and
+/// the policies under test.
+struct Sweep<'a> {
+    args: &'a Args,
+    memory: &'a Memory,
+    workload: &'a Workload,
+    specs: &'a [QuerySpec],
+    shots: usize,
+    requests: usize,
+    capacity_rps: f64,
+}
+
+/// One operating point's full output. A bare service's results carry
+/// the trivial fleet context (shard 0, default tenant and SLO class,
+/// no front-door wait), so every mode condenses through the same code.
+struct PointRun {
+    /// `closed`, or `load=<factor>` for an open-loop point.
+    label: String,
+    target: Target,
+    /// Results in the mode's order: request-id order from a closed
+    /// `drain`, completion order from an open run.
+    results: Vec<FleetResult>,
+    /// Every batch the point fired, taken after each admission call so
+    /// the service's bounded report buffer never drops one.
+    batches: Vec<BatchReport>,
+    /// The condensed point (a closed point has load 0 and its whole
+    /// workload arriving at t = 0).
+    point: ServeLoadPoint,
+    /// Executor workers the closed-loop drain resolved (0 when open).
+    workers: usize,
+    /// Host time from the first admission to the end of the drain.
+    wall: Duration,
+}
+
+impl PointRun {
+    fn results_digest(&self) -> u64 {
+        match self.target {
+            Target::Service(_) => results_digest(self.results.iter().map(|r| &r.result)),
+            Target::Fleet(_) => fleet_results_digest(&self.results),
+        }
+    }
+}
+
+/// Runs one operating point through a fresh target under the given
+/// policies. `load` is an open-loop offered-load multiplier; `None` is
+/// the closed loop, which admits every request through `submit` at
+/// t = 0 and finishes with `drain`. The arrival stream, spec
+/// assignment and tenant/SLO tagging depend only on `(args, load)`, so
+/// two policies at the same point serve byte-identical offers — the
+/// `policy_compare` and `slo_compare` blocks rely on this.
+fn run_point(
+    sweep: &Sweep<'_>,
+    load: Option<f64>,
+    release: ReleasePolicy,
+    shed: ShedPolicy,
+) -> PointRun {
+    let args = sweep.args;
+    let memory = sweep.memory.clone();
+    let config = service_config(args, sweep.shots).with_release_policy(release);
+    let mut target = if args.fleet > 0 {
+        let config = fleet_config(args, config).with_shed_policy(shed);
+        Target::Fleet(FleetController::with_telemetry(memory, config))
+    } else {
+        Target::Service(QramService::with_recorder(
+            memory,
+            config,
+            TelemetryRecorder::new(),
+        ))
+    };
+    let offered_rps = sweep.capacity_rps * load.unwrap_or(0.0);
+    let arrivals = match load {
+        Some(_) => build_arrivals(args, 1e9 / offered_rps).arrivals(sweep.requests),
+        None => Vec::new(),
+    };
+    let mix = spec_mix(args);
+    let submissions = assign_specs_with(sweep.workload, sweep.specs, mix, sweep.requests);
+
+    let start = host_wall();
+    let mut batches = Vec::new();
+    for (i, &(address, spec)) in submissions.iter().enumerate() {
+        match (&mut target, arrivals.get(i)) {
+            (Target::Service(service), None) => {
+                service.submit(address, spec);
+            }
+            (Target::Service(service), Some(&arrival)) => {
+                if let Admission::Rejected(reason) = service.try_submit_at(address, spec, arrival) {
+                    panic!("generated workload rejected: {reason}");
+                }
+            }
+            (Target::Fleet(fleet), arrival) => {
+                let arrival = *arrival.expect("fleet points are open-loop");
+                let tenant = tenant_for(i as u64, args.tenants, args.seed);
+                let slo = slo_for(i as u64, args.slo_deadline);
+                fleet.submit_at(address, spec, arrival, tenant, slo);
+            }
+        }
+        batches.extend(target.take_batch_reports());
+    }
+    let bare = |result: QueryResult| FleetResult {
+        seq: result.id,
+        shard: 0,
+        tenant: TenantId::default(),
+        slo: SloClass::default(),
+        front_wait: 0,
+        result,
+    };
+    let (results, workers): (Vec<FleetResult>, usize) = match &mut target {
+        Target::Service(service) if load.is_none() => {
+            let report = service.drain();
+            batches.extend(report.batches);
+            let results = report.results.into_iter().map(bare).collect();
+            (results, report.workers)
+        }
+        Target::Service(service) => (service.run_until_idle().into_iter().map(bare).collect(), 0),
+        Target::Fleet(fleet) => (fleet.run_until_idle(), 0),
+    };
+    let wall = start.elapsed();
+    batches.extend(target.take_batch_reports());
+    for shard in target.shards() {
+        assert_eq!(shard.batch_reports_dropped(), 0, "batch reports dropped");
+    }
 
     let first_arrival = arrivals.first().copied().unwrap_or(0);
-    let last_completed = results
-        .iter()
-        .map(|r| r.result.completed)
-        .max()
-        .unwrap_or(0);
-    let span = last_completed.saturating_sub(first_arrival).max(1) as f64;
+    let last_completed = results.iter().map(|r| r.result.completed).max();
+    let span = last_completed.unwrap_or(0).saturating_sub(first_arrival);
     let completed = results.len();
+    let avg =
+        |ticks: fn(&FleetResult) -> Ticks| mean(results.iter().map(|r| ticks(r) as f64), completed);
     let totals: Vec<f64> = results.iter().map(|r| r.total_latency() as f64).collect();
-    let max = totals.iter().copied().fold(0.0f64, f64::max);
-    let (hits, misses) = fleet.shards().iter().fold((0u64, 0u64), |(h, m), shard| {
-        let c = shard.cache_stats();
-        (h + c.hits, m + c.misses)
-    });
-    let stats = fleet.stats();
     let point = ServeLoadPoint {
         offered_rps,
-        load_factor,
-        offered: requests,
+        load_factor: load.unwrap_or(0.0),
+        offered: sweep.requests,
         completed,
-        shed: stats.shed,
-        achieved_rps: completed as f64 * 1e9 / span,
-        latency_ns: [
-            percentile(&totals, 50.0),
-            percentile(&totals, 90.0),
-            percentile(&totals, 99.0),
-            max,
-        ],
-        mean_queue_wait_ns: mean(
-            results
-                .iter()
-                .map(|r| (r.front_wait + r.result.latency.queue_wait) as f64),
-            completed,
-        ),
-        mean_compile_ns: mean(
-            results.iter().map(|r| r.result.latency.compile as f64),
-            completed,
-        ),
-        mean_execute_ns: mean(
-            results.iter().map(|r| r.result.latency.execute as f64),
-            completed,
-        ),
-        cache_hit_rate: if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
+        shed: match &target {
+            Target::Service(service) => service.admission_stats().shed,
+            Target::Fleet(fleet) => fleet.stats().shed,
         },
+        achieved_rps: completed as f64 * 1e9 / span.max(1) as f64,
+        latency_ns: latency_percentiles(&totals),
+        mean_queue_wait_ns: avg(|r| r.front_wait + r.result.latency.queue_wait),
+        mean_compile_ns: avg(|r| r.result.latency.compile),
+        mean_execute_ns: avg(|r| r.result.latency.execute),
+        cache_hit_rate: target.cache_stats().hit_rate(),
     };
-    let per_tenant: Vec<(u32, u64, u64)> = stats
-        .per_tenant
+    PointRun {
+        label: load.map_or_else(|| "closed".into(), |load| format!("load={load:.2}")),
+        target,
+        results,
+        batches,
+        point,
+        workers,
+        wall,
+    }
+}
+
+/// Slices a sweep per architecture family: requests, throughput and
+/// latency from the results, batch-level cache behavior from the batch
+/// reports (a batch that charged compile ticks was a cache miss).
+///
+/// Each point is an independent run with its own virtual clock, so
+/// throughput sums each point's span rather than overlapping their
+/// clocks — the union's `max(completed) − min(arrival)` would divide
+/// every point's requests by roughly one point's window and report
+/// impossible rates.
+fn arch_breakdown(runs: &[PointRun]) -> Vec<ServeArchPoint> {
+    let mut families: Vec<&'static str> = Vec::new();
+    for r in runs.iter().flat_map(|run| &run.results) {
+        let family = r.result.spec.arch.family();
+        if !families.contains(&family) {
+            families.push(family);
+        }
+    }
+    families
+        .into_iter()
+        .map(|family| {
+            let mut span = 0u64;
+            let mut totals: Vec<f64> = Vec::new();
+            let mut executes: Vec<f64> = Vec::new();
+            let (mut batches, mut compiled) = (0, 0);
+            for run in runs {
+                let slice: Vec<&QueryResult> = run
+                    .results
+                    .iter()
+                    .map(|r| &r.result)
+                    .filter(|r| r.spec.arch.family() == family)
+                    .collect();
+                if !slice.is_empty() {
+                    let first_arrival = slice.iter().map(|r| r.arrival).min().unwrap_or(0);
+                    let last_completed = slice.iter().map(|r| r.completed).max().unwrap_or(0);
+                    span += last_completed.saturating_sub(first_arrival).max(1);
+                }
+                totals.extend(slice.iter().map(|r| r.latency.total() as f64));
+                executes.extend(slice.iter().map(|r| r.latency.execute as f64));
+                for b in run
+                    .batches
+                    .iter()
+                    .filter(|b| b.spec.arch.family() == family)
+                {
+                    batches += 1;
+                    compiled += usize::from(b.compile > 0);
+                }
+            }
+            ServeArchPoint {
+                arch: family.into(),
+                requests: totals.len(),
+                virtual_rps: totals.len() as f64 * 1e9 / span.max(1) as f64,
+                latency_ns: latency_percentiles(&totals),
+                mean_execute_ns: mean(executes.iter().copied(), executes.len()),
+                batches,
+                compiled,
+            }
+        })
+        .collect()
+}
+
+/// One `"key": value` member of a summary object; `value` is raw JSON.
+type Field = (&'static str, String);
+
+/// `fields!["key" => value, ...]`: summary members, each value rendered
+/// through `Display` (strings go through [`quoted`] first).
+macro_rules! fields {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        vec![$(($key, $value.to_string())),*]
+    };
+}
+
+/// Renders `fields` as a JSON object whose members sit two spaces
+/// deeper than `indent` and whose closing brace sits at `indent`.
+fn json_object(fields: &[Field], indent: &str) -> String {
+    let members: Vec<String> = fields
         .iter()
-        .map(|(t, s)| (t.0, s.completed, s.shed))
+        .map(|(key, value)| format!("{indent}  \"{key}\": {value}"))
         .collect();
-    let per_class: Vec<(&'static str, u64, u64, u64, u64)> = stats
-        .per_class
+    format!("{{\n{}\n{indent}}}", members.join(",\n"))
+}
+
+/// Renders `rows` (each a list of object members) as a JSON array of
+/// one-line objects.
+fn json_rows(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.map(|row| format!("\n    {{{row}}}")).collect();
+    format!("[{}\n  ]", rows.join(","))
+}
+
+fn quoted(value: impl std::fmt::Display) -> String {
+    format!("\"{value}\"")
+}
+
+fn hex(digest: u64) -> String {
+    format!("\"{digest:016x}\"")
+}
+
+/// The flat `telemetry` section of the summary: stage-histogram
+/// percentiles, admission flow conservation, release-policy counters,
+/// and the trace/metrics digests. Every key is globally unique within
+/// the summary so the first-occurrence field parser in
+/// `qram_bench::report` reads them without structural JSON parsing.
+fn telemetry_json(telemetry: &MetricsRegistry, trace_digest: u64) -> String {
+    let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q));
+    let c = |name: &str| telemetry.counter(name);
+    let fields = fields![
+        "trace_digest" => hex(trace_digest),
+        "telemetry_digest" => hex(telemetry.digest()),
+        "arrivals" => c(key::ADMISSION_ACCEPTED) + c(key::ADMISSION_SHED) + c(key::ADMISSION_REJECTED),
+        "accepted" => c(key::ADMISSION_ACCEPTED),
+        "shed" => c(key::ADMISSION_SHED),
+        "rejected" => c(key::ADMISSION_REJECTED),
+        "completed" => c(key::SERVICE_COMPLETED),
+        "batches_fired" => c(key::BATCHES_FIRED),
+        "queue_depth_high_water" => telemetry.gauge(key::QUEUE_DEPTH_HIGH_WATER),
+        "stage_queue_wait_p50_ns" => p(key::STAGE_QUEUE_WAIT, 50.0),
+        "stage_queue_wait_p99_ns" => p(key::STAGE_QUEUE_WAIT, 99.0),
+        "stage_compile_p50_ns" => p(key::STAGE_COMPILE, 50.0),
+        "stage_compile_p99_ns" => p(key::STAGE_COMPILE, 99.0),
+        "stage_execute_p50_ns" => p(key::STAGE_EXECUTE, 50.0),
+        "stage_execute_p99_ns" => p(key::STAGE_EXECUTE, 99.0),
+        "stage_total_p50_ns" => p(key::STAGE_TOTAL, 50.0),
+        "stage_total_p90_ns" => p(key::STAGE_TOTAL, 90.0),
+        "stage_total_p99_ns" => p(key::STAGE_TOTAL, 99.0),
+        "batch_size_p50" => p(key::BATCH_SIZE, 50.0),
+        "policy_cache_affine_fires" => c(key::POLICY_CACHE_AFFINE_FIRES),
+        "policy_age_cap_forced" => c(key::POLICY_AGE_CAP_FORCED),
+        "sim_shots" => c(key::SIM_SHOTS),
+        "sim_gate_applications" => c(key::SIM_GATES),
+    ];
+    json_object(&fields, "  ")
+}
+
+/// Prints the human-readable stage breakdown plus the digest lines CI
+/// diffs across parallelism settings.
+fn print_telemetry(telemetry: &MetricsRegistry, trace_digest: u64) {
+    let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q)) as f64;
+    for (label, name) in [
+        ("stage_queue_wait_us", key::STAGE_QUEUE_WAIT),
+        ("stage_compile_us", key::STAGE_COMPILE),
+        ("stage_execute_us", key::STAGE_EXECUTE),
+    ] {
+        let (p50, p99) = (p(name, 50.0) / 1e3, p(name, 99.0) / 1e3);
+        print_row(&[label.into(), format!("p50 {p50:.1}, p99 {p99:.1}")]);
+    }
+    let high_water = telemetry.gauge(key::QUEUE_DEPTH_HIGH_WATER);
+    print_row(&["queue_depth_high_water".into(), high_water.to_string()]);
+    println!("# trace_digest: {trace_digest:016x}");
+    println!("# telemetry_digest: {:016x}", telemetry.digest());
+}
+
+/// Writes `contents` to `path`, exiting with status 2 on failure.
+fn write_file(path: &Path, what: &str, contents: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => println!("# {what} written to {}", path.display()),
+        Err(e) => {
+            eprintln!("serve_bench: cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Writes the full trace export: one canonical span log per point plus
+/// the merged metrics registry.
+fn write_trace(path: &Path, mode: &str, runs: &[PointRun], merged: &MetricsRegistry, digest: u64) {
+    let sections: Vec<String> = runs
         .iter()
-        .map(|(&label, s)| {
-            (
-                label,
-                s.completed,
-                s.shed,
-                s.deadline_met,
-                s.deadline_missed,
+        .map(|run| {
+            let recorder = run.target.recorder();
+            format!(
+                "\n    {{\n      \"label\": \"{}\",\n      \"trace_digest\": \"{:016x}\",\n      \"spans\":\n{}\n    }}",
+                run.label,
+                recorder.trace_digest(),
+                recorder.tracer().to_json("      ")
             )
         })
         .collect();
-    let per_shard: Vec<(usize, u64, u64, u64)> = fleet
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(sid, shard)| {
-            let on_shard = results.iter().filter(|r| r.shard == sid).count() as u64;
-            let c = shard.cache_stats();
-            (sid, on_shard, c.hits, c.misses)
-        })
-        .collect();
-
-    let mut telemetry = fleet.metrics_snapshot();
-    for shard in fleet.shards() {
-        telemetry.merge_from(shard.recorder().metrics());
-    }
-    telemetry.merge_from(fleet.recorder().metrics());
-    let trace_digest = fleet.trace_digest();
-    FleetPointRun {
-        point,
-        recorder: fleet.recorder().clone(),
-        telemetry,
-        trace_digest,
-        per_tenant,
-        per_class,
-        per_shard,
-        results,
-    }
+    let body = format!(
+        "{{\n  \"schema\": \"qram-bench/trace/v1\",\n  \"mode\": \"{mode}\",\n  \
+         \"trace_digest\": \"{digest:016x}\",\n  \"telemetry_digest\": \"{:016x}\",\n  \
+         \"sections\": [{}\n  ],\n  \"metrics\":\n{}\n}}\n",
+        merged.digest(),
+        sections.join(","),
+        merged.to_json("  ")
+    );
+    write_file(path, "trace", &body);
 }
 
-/// The shed tally a point recorded for `label`, 0 when the class never
-/// appeared.
-fn class_shed(per_class: &[(&'static str, u64, u64, u64, u64)], label: &str) -> u64 {
-    per_class
-        .iter()
-        .find(|(l, ..)| *l == label)
-        .map(|&(_, _, shed, _, _)| shed)
-        .unwrap_or(0)
-}
+fn main() {
+    let args = parse_args();
+    let n = args.width.unwrap_or(if args.full { 6 } else { 4 });
+    let requests = args.requests.unwrap_or(if args.full { 1024 } else { 256 });
+    let shots = args.shots.unwrap_or(if args.full { 32 } else { 8 });
+    let closed = match args.mode.as_str() {
+        "closed" => true,
+        "open" => false,
+        other => panic!("unknown mode `{other}` (expected closed, open)"),
+    };
+    assert!(
+        !closed || args.fleet == 0,
+        "--fleet requires --mode open (the fleet controller is an open-loop front door)"
+    );
 
-/// Open loop through the fleet front door: the bare open sweep's
-/// arrival machinery, served by a sharded [`FleetController`] with
-/// deterministic tenant/SLO tagging, plus a deadline-priority vs
-/// tail-drop head-to-head on byte-identical arrivals at the highest
-/// swept load.
-fn run_open_fleet(
-    args: &Args,
-    memory: &Memory,
-    workload: &Workload,
-    specs: &[QuerySpec],
-    shots: usize,
-    requests: usize,
-) {
-    // The modeled capacity: the bare per-shard capacity (execution
-    // units over mean execute cost) times the shard count.
-    let cost = service_config(args, shots).cost;
+    let memory = experiment_memory(n, args.seed);
+    let workload = build_workload(&args, n);
+    let specs = hot_specs(&args.arch, n, args.qubit_budget);
+    // The modeled capacity: virtual execution units over the mean
+    // per-request execute cost of the hot specs, each priced from its
+    // architecture's measured resources, times the shard count.
+    let cost = service_config(&args, shots).cost;
     let mean_execute = specs
         .iter()
-        .map(|spec| cost.execute_cost(&spec.arch.instantiate().resources(memory), shots))
+        .map(|spec| cost.execute_cost(&spec.arch.instantiate().resources(&memory), shots))
         .sum::<u64>() as f64
         / specs.len() as f64;
-    let capacity_rps = cost.capacity_rps(mean_execute.round() as u64) * args.fleet as f64;
-
-    println!(
-        "# serve_bench fleet: {} shards x {} requests/point, {} tenants, shed {}, replication {}, n={} (arch {}, {} hot specs, {} shots, front {}, capacity {:.0} rps)",
-        args.fleet,
-        requests,
-        args.tenants,
-        args.shed_policy,
-        args.replication,
-        memory.address_width(),
-        args.arch,
-        specs.len(),
-        shots,
-        args.front_capacity,
-        capacity_rps,
-    );
-    print_row(
-        &[
-            "load",
-            "offered",
-            "completed",
-            "shed",
-            "rps",
-            "p50_us",
-            "p99_us",
-            "qwait_us",
-            "hit_rate",
-        ]
-        .map(String::from),
-    );
-    let sweep = OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
+    let capacity_rps = cost.capacity_rps(mean_execute.round() as u64) * args.fleet.max(1) as f64;
+    let sweep = Sweep {
+        args: &args,
+        memory: &memory,
+        workload: &workload,
+        specs: &specs,
         shots,
         requests,
         capacity_rps,
     };
-    let mut points = Vec::new();
-    let mut digest_bytes: Vec<u8> = Vec::new();
-    let mut trace_digest_bytes: Vec<u8> = Vec::new();
-    let mut merged_telemetry = MetricsRegistry::new();
-    let mut all_totals: Vec<f64> = Vec::new();
-    let mut agg_tenant: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
-    let mut agg_class: std::collections::BTreeMap<&'static str, (u64, u64, u64, u64)> =
-        Default::default();
-    let mut agg_shard: std::collections::BTreeMap<usize, (u64, u64, u64)> = Default::default();
-    let mut offered_total = 0usize;
-    let mut shed_total = 0u64;
-    let mut arch_runs: Vec<Vec<QueryResult>> = Vec::new();
-    let mut recorders: Vec<(String, TelemetryRecorder)> = Vec::new();
-    for &load_factor in &args.loads {
-        let run = run_fleet_point(&sweep, load_factor, shed_policy(args));
-        let point = &run.point;
-        print_row(&[
-            format!("{load_factor:.2}"),
-            point.offered.to_string(),
-            point.completed.to_string(),
-            point.shed.to_string(),
-            format!("{:.0}", point.achieved_rps),
-            format!("{:.1}", point.latency_ns[0] / 1e3),
-            format!("{:.1}", point.latency_ns[2] / 1e3),
-            format!("{:.1}", point.mean_queue_wait_ns / 1e3),
-            format!("{:.3}", point.cache_hit_rate),
-        ]);
-        digest_bytes.extend(fleet_results_digest(&run.results).to_le_bytes());
-        trace_digest_bytes.extend(run.trace_digest.to_le_bytes());
-        merged_telemetry.merge_from(&run.telemetry);
-        all_totals.extend(run.results.iter().map(|r| r.total_latency() as f64));
-        for &(t, completed, shed) in &run.per_tenant {
-            let e = agg_tenant.entry(t).or_default();
-            e.0 += completed;
-            e.1 += shed;
-        }
-        for &(label, completed, shed, met, missed) in &run.per_class {
-            let e = agg_class.entry(label).or_default();
-            e.0 += completed;
-            e.1 += shed;
-            e.2 += met;
-            e.3 += missed;
-        }
-        for &(sid, completed, hits, misses) in &run.per_shard {
-            let e = agg_shard.entry(sid).or_default();
-            e.0 += completed;
-            e.1 += hits;
-            e.2 += misses;
-        }
-        offered_total += point.offered;
-        shed_total += point.shed;
-        if args.trace_out.is_some() {
-            recorders.push((format!("load={load_factor:.2}"), run.recorder));
-        }
-        arch_runs.push(run.results.iter().map(|r| r.result.clone()).collect());
-        points.push(run.point.clone());
+
+    let loads: Vec<Option<f64>> = if closed {
+        vec![None]
+    } else {
+        args.loads.iter().copied().map(Some).collect()
+    };
+    let (release, shed) = (release_policy(&args), shed_policy(&args));
+    let runs: Vec<PointRun> = loads
+        .into_iter()
+        .map(|load| run_point(&sweep, load, release, shed))
+        .collect();
+    let mut telemetry = MetricsRegistry::new();
+    for run in &runs {
+        telemetry.merge_from(&run.target.telemetry());
     }
-    let digest = fnv1a_64(digest_bytes);
-    // As in the bare open sweep, each point runs its own virtual clock,
-    // so the sweep digest chains the per-point fleet trace digests.
-    let trace_digest = fnv1a_64(trace_digest_bytes);
-    let fleet_p50 = percentile(&all_totals, 50.0);
-    let fleet_p99 = percentile(&all_totals, 99.0);
-    let completed_total = all_totals.len();
-    print_telemetry(&merged_telemetry, trace_digest);
-    println!("# results_digest: {digest:016x}");
-    print_row(&[
-        "fleet_door_to_done_us".into(),
-        format!("p50 {:.1}, p99 {:.1}", fleet_p50 / 1e3, fleet_p99 / 1e3),
+    // Each open-loop point runs its own service (its own virtual clock),
+    // so a sweep's digests chain the per-point digests in sweep order
+    // rather than merging incomparable clocks.
+    let (digest, trace_digest) = match &runs[..] {
+        [run] if closed => (run.results_digest(), run.target.trace_digest()),
+        _ => (
+            fnv1a_64(runs.iter().flat_map(|r| r.results_digest().to_le_bytes())),
+            fnv1a_64(
+                runs.iter()
+                    .flat_map(|r| r.target.trace_digest().to_le_bytes()),
+            ),
+        ),
+    };
+    let per_arch = arch_breakdown(&runs);
+    let arch_batches: usize = per_arch.iter().map(|a| a.batches).sum();
+    assert_eq!(
+        arch_batches as u64,
+        telemetry.counter(key::BATCHES_FIRED),
+        "per_arch batches must account for every batch fired"
+    );
+
+    // The header every summary shares. The mode-only members sit where
+    // the schema places them, so every mode's summary keeps its layout.
+    let mut fields = fields![
+        "schema" => quoted(SERVE_SCHEMA),
+        "mode" => quoted(&args.mode),
+        "arch" => quoted(&args.arch),
+        "workload" => quoted(workload.name()),
+    ];
+    if !closed {
+        fields.extend(fields!["arrivals" => quoted(&args.arrivals)]);
+    }
+    fields.extend(fields!["spec_mix" => quoted(mix_name(&args)), "address_width" => n]);
+    if closed {
+        fields.extend(fields![
+            "requests" => runs[0].results.len(),
+            "batches" => runs[0].batches.len(),
+        ]);
+    } else {
+        fields.extend(fields!["requests_per_point" => requests]);
+    }
+    fields.extend(fields![
+        "specs" => specs.len(),
+        "shots" => shots,
+        "seed" => args.seed,
+        "shot_threads" => args.shot_threads,
+        "path_chunks" => args.path_chunks,
     ]);
-    for (&t, &(completed, shed)) in &agg_tenant {
-        print_row(&[
-            format!("tenant[{t}]"),
-            format!("{completed} completed, {shed} shed"),
+    if !closed {
+        fields.extend(fields![
+            "queue_capacity" => args.queue,
+            "deadline_ns" => args.deadline,
+            "batch_limit" => args.batch,
         ]);
     }
-    for (&label, &(completed, shed, met, missed)) in &agg_class {
+    fields.extend(fields![
+        "release_policy" => quoted(release.label()),
+        "age_cap_ns" => policy_age_cap(release),
+        "qubit_budget" => budget_field(&args),
+    ]);
+    if !closed {
+        fields.extend(fields!["capacity_rps" => format!("{capacity_rps:.1}")]);
+    }
+    fields.extend(fields!["results_digest" => hex(digest)]);
+
+    let telemetry_section = || telemetry_json(&telemetry, trace_digest);
+    if closed {
+        closed_sections(&sweep, &runs[0], &per_arch, &mut fields);
+        fields.extend(fields!["telemetry" => telemetry_section()]);
+    } else {
+        print_sweep_header(&sweep);
+        for run in &runs {
+            print_load_row(&run.point);
+        }
+    }
+    print_telemetry(&telemetry, trace_digest);
+    println!("# results_digest: {digest:016x}");
+    if args.fleet > 0 {
+        fleet_sections(&sweep, &runs, &telemetry, &mut fields, telemetry_section());
+    } else if !closed {
+        policy_sections(&sweep, &runs, &mut fields, telemetry_section());
+    }
+    fields.extend(fields!["per_arch" => serve_arch_json(&per_arch)]);
+
+    let out = args.out.clone().unwrap_or_else(|| {
+        std::env::current_dir()
+            .ok()
+            .and_then(|d| find_repo_root(&d))
+            .unwrap_or_else(|| PathBuf::from("."))
+            .join("BENCH_SERVE.json")
+    });
+    write_file(&out, "summary", &format!("{}\n", json_object(&fields, "")));
+    if let Some(path) = &args.trace_out {
+        write_trace(path, &args.mode, &runs, &telemetry, trace_digest);
+    }
+}
+
+/// Prints the closed-loop metric table and adds the closed-mode
+/// summary members: host and virtual throughput, latency, cache and
+/// fidelity.
+fn closed_sections(
+    sweep: &Sweep<'_>,
+    run: &PointRun,
+    per_arch: &[ServeArchPoint],
+    fields: &mut Vec<Field>,
+) {
+    let args = sweep.args;
+    let point = &run.point;
+    let count = run.results.len();
+    let [p50, p90, p99, max] = point.latency_ns;
+    let wall_rps = count as f64 / run.wall.as_secs_f64().max(1e-9);
+    let mean_fidelity = mean(run.results.iter().map(|r| r.result.fidelity.mean), count);
+    let cache = run.target.cache_stats();
+    println!(
+        "# serve_bench closed: {} x {} over n={} (arch {}, {} hot specs, batch <= {}, {} shots, {} workers x {} shot-threads)",
+        count,
+        sweep.workload.name(),
+        sweep.memory.address_width(),
+        args.arch,
+        sweep.specs.len(),
+        args.batch,
+        sweep.shots,
+        run.workers,
+        args.shot_threads,
+    );
+    let rows = fields![
+        "metric" => "value",
+        "requests" => count,
+        "batches" => run.batches.len(),
+        "release_policy" => release_policy(args).label(),
+        "virtual_rps" => format!("{:.1}", point.achieved_rps),
+        "wall_rps" => format!("{wall_rps:.1}"),
+        "latency_p50_us" => format!("{:.1}", p50 / 1e3),
+        "latency_p90_us" => format!("{:.1}", p90 / 1e3),
+        "latency_p99_us" => format!("{:.1}", p99 / 1e3),
+        "mean_queue_wait_us" => format!("{:.1}", point.mean_queue_wait_ns / 1e3),
+        "cache_hits" => cache.hits,
+        "cache_misses" => cache.misses,
+        "cache_evictions" => cache.evictions,
+        "cache_hit_rate" => format!("{:.3}", cache.hit_rate()),
+        "mean_fidelity" => format!("{mean_fidelity:.4}"),
+    ];
+    for (metric, value) in rows {
+        print_row(&[metric.into(), value]);
+    }
+    for a in per_arch {
         print_row(&[
-            format!("slo[{label}]"),
+            format!("arch[{}]", a.arch),
             format!(
-                "{completed} completed, {shed} shed, deadline {met}/{}",
-                met + missed
+                "{} reqs, p50 {:.1} us, exec {:.1} us, batch hit {:.2}",
+                a.requests,
+                a.latency_ns[0] / 1e3,
+                a.mean_execute_ns / 1e3,
+                a.batch_hit_rate()
             ),
         ]);
     }
-    let empty_batches: Vec<BatchReport> = Vec::new();
-    let runs: Vec<(&[QueryResult], &[BatchReport])> = arch_runs
-        .iter()
-        .map(|r| (&r[..], &empty_batches[..]))
-        .collect();
-    let per_arch = arch_breakdown(&runs);
+    let (hits, misses, evictions, hit_rate) =
+        (cache.hits, cache.misses, cache.evictions, cache.hit_rate());
+    fields.extend(fields![
+        "virtual_rps" => format!("{:.1}", point.achieved_rps),
+        "wall_rps" => format!("{wall_rps:.1}"),
+        "latency_ns" => format!("{{\"p50\": {p50:.0}, \"p90\": {p90:.0}, \"p99\": {p99:.0}, \"max\": {max:.0}}}"),
+        "mean_queue_wait_ns" => format!("{:.1}", point.mean_queue_wait_ns),
+        "cache" => format!("{{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \"hit_rate\": {hit_rate:.4}}}"),
+        "mean_fidelity" => format!("{mean_fidelity:.6}"),
+    ]);
+}
 
-    // SLO head-to-head at the *highest* swept load — overload is where
-    // the shed policies actually diverge. Both runs serve byte-identical
-    // offered streams; every delta is the front-door policy's doing.
+/// The open-loop banner and load-table header.
+fn print_sweep_header(sweep: &Sweep<'_>) {
+    let (args, n, shots) = (sweep.args, sweep.memory.address_width(), sweep.shots);
+    let (arch, specs) = (&args.arch, sweep.specs.len());
+    if args.fleet > 0 {
+        println!(
+            "# serve_bench fleet: {} shards x {} requests/point, {} tenants, shed {}, replication {}, n={n} (arch {arch}, {specs} hot specs, {shots} shots, front {}, capacity {:.0} rps)",
+            args.fleet,
+            sweep.requests,
+            args.tenants,
+            args.shed_policy,
+            args.replication,
+            args.front_capacity,
+            sweep.capacity_rps,
+        );
+    } else {
+        println!(
+            "# serve_bench open: {} x {} + {} arrivals over n={n} (arch {arch}, {specs} hot specs, {shots} shots, queue {}, deadline {} ns, capacity {:.0} rps)",
+            sweep.requests,
+            sweep.workload.name(),
+            args.arrivals,
+            args.queue,
+            args.deadline,
+            sweep.capacity_rps,
+        );
+    }
+    let header = "load offered completed shed rps p50_us p99_us qwait_us hit_rate";
+    print_row(&header.split(' ').map(String::from).collect::<Vec<_>>());
+}
+
+fn print_load_row(point: &ServeLoadPoint) {
+    print_row(&[
+        format!("{:.2}", point.load_factor),
+        point.offered.to_string(),
+        point.completed.to_string(),
+        point.shed.to_string(),
+        format!("{:.0}", point.achieved_rps),
+        format!("{:.1}", point.latency_ns[0] / 1e3),
+        format!("{:.1}", point.latency_ns[2] / 1e3),
+        format!("{:.1}", point.mean_queue_wait_ns / 1e3),
+        format!("{:.3}", point.cache_hit_rate),
+    ]);
+}
+
+fn sweep_json(runs: &[PointRun]) -> String {
+    let points: Vec<ServeLoadPoint> = runs.iter().map(|r| r.point.clone()).collect();
+    serve_sweep_json(&points)
+}
+
+/// The bare open-loop members: telemetry, then a head-to-head
+/// release-policy comparison at the swept load nearest the modeled
+/// capacity (load 1.0) — below it queues barely form, far above it
+/// every pending group ages past the cap and cache-affine correctly
+/// degenerates to FIFO — then the sweep itself.
+fn policy_sections(
+    sweep: &Sweep<'_>,
+    runs: &[PointRun],
+    fields: &mut Vec<Field>,
+    telemetry_section: String,
+) {
+    let args = sweep.args;
+    let distance = |load: &f64| (load - 1.0).abs();
+    let compare_load = args
+        .loads
+        .iter()
+        .copied()
+        .min_by(|a, b| distance(a).total_cmp(&distance(b)));
+    let (at, shed) = (compare_load, shed_policy(args));
+    let compare_load = compare_load.expect("--load is non-empty");
+    let oldest = run_point(sweep, at, ReleasePolicy::OldestFirst, shed);
+    let affine = run_point(sweep, at, ReleasePolicy::cache_affine(), shed);
+    let (o, a) = (&oldest.point, &affine.point);
+    let (o_p50, a_p50) = (o.latency_ns[0] / 1e3, a.latency_ns[0] / 1e3);
+    let (o_compile, a_compile) = (o.mean_compile_ns / 1e3, a.mean_compile_ns / 1e3);
+    print_row(&[
+        "policy_p50_us".into(),
+        format!("oldest-first {o_p50:.1} vs cache-affine {a_p50:.1} @ load {compare_load:.2}"),
+    ]);
+    print_row(&[
+        "policy_mean_compile_us".into(),
+        format!("oldest-first {o_compile:.1} vs cache-affine {a_compile:.1}"),
+    ]);
+    let affine_telemetry = affine.target.telemetry();
+    let compare = fields![
+        "compare_load" => format!("{compare_load:.2}"),
+        "p50_oldest_first_ns" => format!("{:.0}", o.latency_ns[0]),
+        "p99_oldest_first_ns" => format!("{:.0}", o.latency_ns[2]),
+        "mean_compile_oldest_first_ns" => format!("{:.1}", o.mean_compile_ns),
+        "mean_queue_wait_oldest_first_ns" => format!("{:.1}", o.mean_queue_wait_ns),
+        "digest_oldest_first" => hex(oldest.results_digest()),
+        "p50_cache_affine_ns" => format!("{:.0}", a.latency_ns[0]),
+        "p99_cache_affine_ns" => format!("{:.0}", a.latency_ns[2]),
+        "mean_compile_cache_affine_ns" => format!("{:.1}", a.mean_compile_ns),
+        "mean_queue_wait_cache_affine_ns" => format!("{:.1}", a.mean_queue_wait_ns),
+        "digest_cache_affine" => hex(affine.results_digest()),
+        "compare_cache_affine_fires" => affine_telemetry.counter(key::POLICY_CACHE_AFFINE_FIRES),
+        "compare_age_cap_forced" => affine_telemetry.counter(key::POLICY_AGE_CAP_FORCED),
+    ];
+    fields.extend(fields![
+        "telemetry" => telemetry_section,
+        "policy_compare" => json_object(&compare, "  "),
+        "sweep" => sweep_json(runs),
+    ]);
+}
+
+/// The fleet members: the fleet section, telemetry, a deadline-priority
+/// vs tail-drop head-to-head at the *highest* swept load — overload is
+/// where the shed policies diverge — then the sweep and the per-shard,
+/// per-tenant and per-SLO tallies over every point.
+fn fleet_sections(
+    sweep: &Sweep<'_>,
+    runs: &[PointRun],
+    telemetry: &MetricsRegistry,
+    fields: &mut Vec<Field>,
+    telemetry_section: String,
+) {
+    let args = sweep.args;
+    let totals: Vec<f64> = runs
+        .iter()
+        .flat_map(|run| &run.results)
+        .map(|r| r.total_latency() as f64)
+        .collect();
+    let (p50, p99) = (percentile(&totals, 50.0), percentile(&totals, 99.0));
+    let mut tenants: BTreeMap<TenantId, TenantStats> = BTreeMap::new();
+    let mut classes: BTreeMap<&'static str, ClassStats> = BTreeMap::new();
+    let mut shards = vec![(0, CacheStats::default()); args.fleet];
+    for run in runs {
+        let stats = run.target.fleet_stats();
+        for (&tenant, s) in &stats.per_tenant {
+            let t = tenants.entry(tenant).or_default();
+            t.completed += s.completed;
+            t.shed += s.shed;
+        }
+        for (&label, s) in &stats.per_class {
+            let c = classes.entry(label).or_default();
+            c.completed += s.completed;
+            c.shed += s.shed;
+            c.deadline_met += s.deadline_met;
+            c.deadline_missed += s.deadline_missed;
+        }
+        for (sid, shard) in run.target.shards().iter().enumerate() {
+            let (completed, cache) = &mut shards[sid];
+            *completed += run.results.iter().filter(|r| r.shard == sid).count();
+            cache.hits += shard.cache_stats().hits;
+            cache.misses += shard.cache_stats().misses;
+        }
+    }
+    let door = format!("p50 {:.1}, p99 {:.1}", p50 / 1e3, p99 / 1e3);
+    print_row(&["fleet_door_to_done_us".into(), door]);
+    for (tenant, s) in &tenants {
+        let row = format!("{} completed, {} shed", s.completed, s.shed);
+        print_row(&[format!("tenant[{}]", tenant.0), row]);
+    }
+    for (label, s) in &classes {
+        let (met, all) = (s.deadline_met, s.deadline_met + s.deadline_missed);
+        let row = format!(
+            "{} completed, {} shed, deadline {met}/{all}",
+            s.completed, s.shed
+        );
+        print_row(&[format!("slo[{label}]"), row]);
+    }
+
     let compare_load = args.loads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let dp = run_fleet_point(&sweep, compare_load, ShedPolicy::DeadlinePriority);
-    let td = run_fleet_point(&sweep, compare_load, ShedPolicy::TailDrop);
-    let dp_p99 = interactive_p99(&dp.results);
-    let td_p99 = interactive_p99(&td.results);
+    let (at, release) = (Some(compare_load), release_policy(args));
+    let dp = run_point(sweep, at, release, ShedPolicy::DeadlinePriority);
+    let td = run_point(sweep, at, release, ShedPolicy::TailDrop);
+    // Door-to-completion p99 of the interactive class (0 when the point
+    // completed no interactive requests).
+    let interactive_p99 = |run: &PointRun| {
+        let totals: Vec<f64> = run
+            .results
+            .iter()
+            .filter(|r| matches!(r.slo, SloClass::Interactive { .. }))
+            .map(|r| r.total_latency() as f64)
+            .collect();
+        percentile(&totals, 99.0)
+    };
+    let (dp_p99, td_p99) = (interactive_p99(&dp), interactive_p99(&td));
     print_row(&[
         "slo_interactive_p99_us".into(),
         format!(
@@ -1519,122 +1341,69 @@ fn run_open_fleet(
             td_p99 / 1e3
         ),
     ]);
-    let slo_compare = format!(
-        "{{\n    \"slo_compare_load\": {compare_load:.2},\n    \
-         \"interactive_p99_deadline_priority_ns\": {dp_p99:.0},\n    \
-         \"interactive_p99_tail_drop_ns\": {td_p99:.0},\n    \
-         \"interactive_shed_deadline_priority\": {},\n    \
-         \"interactive_shed_tail_drop\": {},\n    \
-         \"batch_shed_deadline_priority\": {},\n    \
-         \"batch_shed_tail_drop\": {},\n    \
-         \"best_effort_shed_deadline_priority\": {},\n    \
-         \"best_effort_shed_tail_drop\": {},\n    \
-         \"digest_deadline_priority\": \"{:016x}\",\n    \
-         \"digest_tail_drop\": \"{:016x}\"\n  }}",
-        class_shed(&dp.per_class, "interactive"),
-        class_shed(&td.per_class, "interactive"),
-        class_shed(&dp.per_class, "batch"),
-        class_shed(&td.per_class, "batch"),
-        class_shed(&dp.per_class, "best_effort"),
-        class_shed(&td.per_class, "best_effort"),
-        fleet_results_digest(&dp.results),
-        fleet_results_digest(&td.results),
-    );
+    let class_shed = |run: &PointRun, label| {
+        let stats = run.target.fleet_stats();
+        stats.per_class.get(label).map_or(0, |s| s.shed)
+    };
+    let slo_compare = fields![
+        "slo_compare_load" => format!("{compare_load:.2}"),
+        "interactive_p99_deadline_priority_ns" => format!("{dp_p99:.0}"),
+        "interactive_p99_tail_drop_ns" => format!("{td_p99:.0}"),
+        "interactive_shed_deadline_priority" => class_shed(&dp, "interactive"),
+        "interactive_shed_tail_drop" => class_shed(&td, "interactive"),
+        "batch_shed_deadline_priority" => class_shed(&dp, "batch"),
+        "batch_shed_tail_drop" => class_shed(&td, "batch"),
+        "best_effort_shed_deadline_priority" => class_shed(&dp, "best_effort"),
+        "best_effort_shed_tail_drop" => class_shed(&td, "best_effort"),
+        "digest_deadline_priority" => hex(dp.results_digest()),
+        "digest_tail_drop" => hex(td.results_digest()),
+    ];
 
-    let fleet_section = format!(
-        "{{\n    \"fleet_shards\": {},\n    \"fleet_tenants\": {},\n    \
-         \"fleet_front_capacity\": {},\n    \"fleet_shed_policy\": \"{}\",\n    \
-         \"fleet_replication\": {},\n    \"fleet_pin_planned\": {},\n    \
-         \"fleet_slo_deadline_ns\": {},\n    \
-         \"fleet_offered\": {offered_total},\n    \"fleet_completed\": {completed_total},\n    \
-         \"fleet_shed\": {shed_total},\n    \
-         \"fleet_routed\": {},\n    \"fleet_pinned_routes\": {},\n    \
-         \"fleet_replica_cache_wins\": {},\n    \"fleet_front_depth_high_water\": {},\n    \
-         \"fleet_p50_ns\": {fleet_p50:.0},\n    \"fleet_p99_ns\": {fleet_p99:.0}\n  }}",
-        args.fleet,
-        args.tenants,
-        args.front_capacity,
-        shed_policy(args).label(),
-        args.replication,
-        args.pin_planned,
-        args.slo_deadline,
-        merged_telemetry.counter(key::FLEET_ROUTED),
-        merged_telemetry.counter(key::FLEET_PINNED_ROUTES),
-        merged_telemetry.counter(key::FLEET_REPLICA_CACHE_WINS),
-        merged_telemetry.gauge(key::FLEET_FRONT_DEPTH_HIGH_WATER),
-    );
-    let per_shard_json = agg_shard
-        .iter()
-        .map(|(&sid, &(completed, hits, misses))| {
-            format!(
-                "\n    {{\"shard\": {sid}, \"completed\": {completed}, \
-                 \"cache_hits\": {hits}, \"cache_misses\": {misses}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let per_tenant_json = agg_tenant
-        .iter()
-        .map(|(&t, &(completed, shed))| {
-            format!("\n    {{\"tenant\": {t}, \"completed\": {completed}, \"shed\": {shed}}}")
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let per_slo_json = agg_class
-        .iter()
-        .map(|(&label, &(completed, shed, met, missed))| {
-            format!(
-                "\n    {{\"slo\": \"{label}\", \"completed\": {completed}, \"shed\": {shed}, \
-                 \"deadline_met\": {met}, \"deadline_missed\": {missed}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-
-    let json = format!(
-        "{{\n  \"schema\": \"qram-bench/serve-summary/v6\",\n  \"mode\": \"open\",\n  \
-         \"arch\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"arrivals\": \"{}\",\n  \"spec_mix\": \"{}\",\n  \
-         \"address_width\": {},\n  \"requests_per_point\": {requests},\n  \"specs\": {},\n  \
-         \"shots\": {shots},\n  \"seed\": {},\n  \"shot_threads\": {},\n  \
-         \"path_chunks\": {},\n  \"queue_capacity\": {},\n  \"deadline_ns\": {},\n  \"batch_limit\": {},\n  \
-         \"release_policy\": \"{}\",\n  \"age_cap_ns\": {},\n  \"qubit_budget\": {},\n  \
-         \"capacity_rps\": {capacity_rps:.1},\n  \"results_digest\": \"{digest:016x}\",\n  \
-         \"fleet\": {fleet_section},\n  \
-         \"telemetry\": {},\n  \
-         \"slo_compare\": {slo_compare},\n  \
-         \"sweep\": {},\n  \
-         \"per_shard\": [{per_shard_json}\n  ],\n  \
-         \"per_tenant\": [{per_tenant_json}\n  ],\n  \
-         \"per_slo\": [{per_slo_json}\n  ],\n  \
-         \"per_arch\": {}\n}}\n",
-        args.arch,
-        workload.name(),
-        args.arrivals,
-        mix_name(args),
-        memory.address_width(),
-        specs.len(),
-        args.seed,
-        args.shot_threads,
-        args.path_chunks,
-        args.queue,
-        args.deadline,
-        args.batch,
-        release_policy(args).label(),
-        policy_age_cap(release_policy(args)),
-        budget_field(args),
-        telemetry_json(&merged_telemetry, trace_digest),
-        serve_sweep_json(&points),
-        serve_arch_json(&per_arch),
-    );
-    write_summary(args.out.clone(), &json);
-    if let Some(path) = &args.trace_out {
-        let sections: Vec<(String, &TelemetryRecorder)> = recorders
-            .iter()
-            .map(|(label, recorder)| (label.clone(), recorder))
-            .collect();
-        write_trace(path, "open", &sections, &merged_telemetry, trace_digest);
-    }
+    let fleet = fields![
+        "fleet_shards" => args.fleet,
+        "fleet_tenants" => args.tenants,
+        "fleet_front_capacity" => args.front_capacity,
+        "fleet_shed_policy" => quoted(shed_policy(args).label()),
+        "fleet_replication" => args.replication,
+        "fleet_pin_planned" => args.pin_planned,
+        "fleet_slo_deadline_ns" => args.slo_deadline,
+        "fleet_offered" => runs.iter().map(|r| r.point.offered).sum::<usize>(),
+        "fleet_completed" => totals.len(),
+        "fleet_shed" => runs.iter().map(|r| r.point.shed).sum::<u64>(),
+        "fleet_routed" => telemetry.counter(key::FLEET_ROUTED),
+        "fleet_pinned_routes" => telemetry.counter(key::FLEET_PINNED_ROUTES),
+        "fleet_replica_cache_wins" => telemetry.counter(key::FLEET_REPLICA_CACHE_WINS),
+        "fleet_front_depth_high_water" => telemetry.gauge(key::FLEET_FRONT_DEPTH_HIGH_WATER),
+        "fleet_p50_ns" => format!("{p50:.0}"),
+        "fleet_p99_ns" => format!("{p99:.0}"),
+    ];
+    let per_shard = shards.iter().enumerate().map(|(sid, (completed, c))| {
+        format!(
+            "\"shard\": {sid}, \"completed\": {completed}, \"cache_hits\": {}, \"cache_misses\": {}",
+            c.hits, c.misses
+        )
+    });
+    let per_tenant = tenants.iter().map(|(t, s)| {
+        format!(
+            "\"tenant\": {}, \"completed\": {}, \"shed\": {}",
+            t.0, s.completed, s.shed
+        )
+    });
+    let per_slo = classes.iter().map(|(label, s)| {
+        format!(
+            "\"slo\": \"{label}\", \"completed\": {}, \"shed\": {}, \"deadline_met\": {}, \"deadline_missed\": {}",
+            s.completed, s.shed, s.deadline_met, s.deadline_missed
+        )
+    });
+    fields.extend(fields![
+        "fleet" => json_object(&fleet, "  "),
+        "telemetry" => telemetry_section,
+        "slo_compare" => json_object(&slo_compare, "  "),
+        "sweep" => sweep_json(runs),
+        "per_shard" => json_rows(per_shard),
+        "per_tenant" => json_rows(per_tenant),
+        "per_slo" => json_rows(per_slo),
+    ]);
 }
 
 /// The `qubit_budget` summary field: the CLI's "0 means unlimited"

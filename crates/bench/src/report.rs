@@ -360,43 +360,41 @@ pub fn serve_arch_json(points: &[ServeArchPoint]) -> String {
     out
 }
 
-/// The headline of a `BENCH_SERVE.json` summary, tolerant across schema
-/// generations: v1/v2 summaries (no `arch` / `per_arch` fields) report
-/// their architecture as the implicit `virtual`, v3+ summaries carry it
-/// explicitly. Returns `None` when the document is not a serve summary
-/// at all.
+/// The only `BENCH_SERVE.json` schema the headline readers accept.
+pub const SERVE_SCHEMA: &str = "qram-bench/serve-summary/v6";
+
+/// `json` when it is a current serve summary, `None` otherwise.
+fn serve_summary(json: &str) -> Option<&str> {
+    (json_str_field(json, "schema")? == SERVE_SCHEMA).then_some(json)
+}
+
+/// The headline of a `BENCH_SERVE.json` summary: schema, mode,
+/// architecture and request count. Returns `None` when the document is
+/// not a [`SERVE_SCHEMA`] summary.
 pub fn serve_summary_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
-    let mode = json_str_field(json, "mode").unwrap_or_else(|| "?".into());
-    let arch = json_str_field(json, "arch").unwrap_or_else(|| "virtual".into());
+    let json = serve_summary(json)?;
+    let mode = json_str_field(json, "mode")?;
+    let arch = json_str_field(json, "arch")?;
     // Per-point first: an open-mode summary's only top-level count is
     // `requests_per_point` (a bare `"requests"` match would find the
     // per-architecture breakdown's field instead).
-    let requests = json_num_field(json, "requests_per_point")
-        .or_else(|| json_num_field(json, "requests"))
-        .unwrap_or(0.0);
+    let requests =
+        json_num_field(json, "requests_per_point").or_else(|| json_num_field(json, "requests"))?;
     Some(format!(
-        "{schema}: mode={mode} arch={arch} requests={requests:.0}"
+        "{SERVE_SCHEMA}: mode={mode} arch={arch} requests={requests:.0}"
     ))
 }
 
-/// The stage-breakdown headline of a v4+ serve summary's `telemetry`
-/// section. Returns `None` for pre-telemetry summaries (v3 and older),
-/// which carry no `stage_*` keys — the caller just omits the line.
+/// The stage-breakdown headline of a serve summary's `telemetry`
+/// section.
 pub fn serve_telemetry_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
+    let json = serve_summary(json)?;
     let queue_wait = json_num_field(json, "stage_queue_wait_p50_ns")?;
     let compile = json_num_field(json, "stage_compile_p50_ns")?;
     let execute = json_num_field(json, "stage_execute_p50_ns")?;
     let total_p99 = json_num_field(json, "stage_total_p99_ns")?;
-    let high_water = json_num_field(json, "queue_depth_high_water").unwrap_or(0.0);
-    let trace_digest = json_str_field(json, "trace_digest").unwrap_or_else(|| "?".into());
+    let high_water = json_num_field(json, "queue_depth_high_water")?;
+    let trace_digest = json_str_field(json, "trace_digest")?;
     Some(format!(
         "stages p50 queue_wait {:.1} us / compile {:.1} us / execute {:.1} us, \
          total p99 {:.1} us, queue high-water {high_water:.0}, trace {trace_digest}",
@@ -407,30 +405,24 @@ pub fn serve_telemetry_headline(json: &str) -> Option<String> {
     ))
 }
 
-/// The scheduling-policy headline of a v5+ serve summary: the release
+/// The scheduling-policy headline of a serve summary: the release
 /// policy the run served under, the planner's qubit budget when one was
-/// set, and — for open-mode summaries — the head-to-head
-/// `policy_compare` deltas at the capacity operating point. Returns
-/// `None` for v4-and-older summaries, which predate the
-/// `release_policy` field — the caller just omits the line.
+/// set, and — for bare open-mode summaries — the head-to-head
+/// `policy_compare` deltas at the capacity operating point.
 pub fn serve_policy_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
+    let json = serve_summary(json)?;
     let policy = json_str_field(json, "release_policy")?;
+    let budget = json_num_field(json, "qubit_budget")?;
     let mut line = format!("release policy {policy}");
-    if let Some(budget) = json_num_field(json, "qubit_budget") {
-        if budget > 0.0 {
-            line.push_str(&format!(", qubit budget {budget:.0}"));
-        }
+    if budget > 0.0 {
+        line.push_str(&format!(", qubit budget {budget:.0}"));
     }
-    if let (Some(p50_oldest), Some(p50_affine)) = (
+    if let (Some(p50_oldest), Some(p50_affine), Some(compile_oldest), Some(compile_affine)) = (
         json_num_field(json, "p50_oldest_first_ns"),
         json_num_field(json, "p50_cache_affine_ns"),
+        json_num_field(json, "mean_compile_oldest_first_ns"),
+        json_num_field(json, "mean_compile_cache_affine_ns"),
     ) {
-        let compile_oldest = json_num_field(json, "mean_compile_oldest_first_ns").unwrap_or(0.0);
-        let compile_affine = json_num_field(json, "mean_compile_cache_affine_ns").unwrap_or(0.0);
         line.push_str(&format!(
             "; head-to-head at capacity: p50 {:.1} -> {:.1} us, mean compile {:.2} -> {:.2} us",
             p50_oldest / 1e3,
@@ -442,52 +434,29 @@ pub fn serve_policy_headline(json: &str) -> Option<String> {
     Some(line)
 }
 
-/// The fleet headline of a v6+ serve summary: shard count, front-door
+/// The fleet headline of a serve summary: shard count, front-door
 /// shed policy, the door-to-completion latency percentiles (front-door
-/// wait included), and — when the summary carries the `slo_compare`
-/// head-to-head — the interactive p99 under each shed policy at the
-/// overload point. Returns `None` for bare (non-fleet) runs and
-/// pre-v6 summaries, which carry no `fleet_*` keys — the caller just
-/// omits the line.
+/// wait included), and the interactive p99 under each shed policy at
+/// the overload point. Returns `None` for bare (non-fleet) runs, which
+/// carry no `fleet_*` keys — the caller just omits the line.
 pub fn serve_fleet_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
+    let json = serve_summary(json)?;
     let shards = json_num_field(json, "fleet_shards")?;
     let p50 = json_num_field(json, "fleet_p50_ns")?;
     let p99 = json_num_field(json, "fleet_p99_ns")?;
-    let policy = json_str_field(json, "fleet_shed_policy").unwrap_or_else(|| "?".into());
-    let tenants = json_num_field(json, "fleet_tenants").unwrap_or(0.0);
-    let mut line = format!(
+    let policy = json_str_field(json, "fleet_shed_policy")?;
+    let tenants = json_num_field(json, "fleet_tenants")?;
+    let dp = json_num_field(json, "interactive_p99_deadline_priority_ns")?;
+    let td = json_num_field(json, "interactive_p99_tail_drop_ns")?;
+    Some(format!(
         "{shards:.0} shards x {tenants:.0} tenants, shed policy {policy}, \
-         door-to-done p50 {:.1} us / p99 {:.1} us",
+         door-to-done p50 {:.1} us / p99 {:.1} us; \
+         interactive p99 at overload: deadline-priority {:.1} vs tail-drop {:.1} us",
         p50 / 1e3,
         p99 / 1e3,
-    );
-    if let (Some(dp), Some(td)) = (
-        json_num_field(json, "interactive_p99_deadline_priority_ns"),
-        json_num_field(json, "interactive_p99_tail_drop_ns"),
-    ) {
-        line.push_str(&format!(
-            "; interactive p99 at overload: deadline-priority {:.1} vs tail-drop {:.1} us",
-            dp / 1e3,
-            td / 1e3,
-        ));
-    }
-    Some(line)
-}
-
-/// FNV-1a over a byte stream: the results digest `serve_bench` prints so
-/// CI can diff 1-worker vs N-worker runs for bit-equality without
-/// carrying the full result dump.
-pub fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+        dp / 1e3,
+        td / 1e3,
+    ))
 }
 
 /// One benchmark whose mean regressed against a saved baseline snapshot.
@@ -618,9 +587,8 @@ pub struct Baseline {
     /// Reference serial/sharded speedup on a multi-core runner.
     pub shot_engine_speedup: f64,
     /// Reference serial/chunked path-parallel speedup on a multi-core
-    /// runner. `None` for pre-v3 baselines that predate the path gate —
-    /// the path gate then skips instead of failing.
-    pub path_speedup: Option<f64>,
+    /// runner.
+    pub path_speedup: f64,
     /// Allowed relative regression (0.25 = fail below 75% of reference).
     pub tolerance: f64,
 }
@@ -629,7 +597,7 @@ pub struct Baseline {
 pub fn parse_baseline(json: &str) -> Option<Baseline> {
     Some(Baseline {
         shot_engine_speedup: json_num_field(json, "shot_engine_speedup")?,
-        path_speedup: json_num_field(json, "path_speedup"),
+        path_speedup: json_num_field(json, "path_speedup")?,
         tolerance: json_num_field(json, "tolerance").unwrap_or(0.25),
     })
 }
@@ -701,9 +669,9 @@ pub fn apply_gate(
 
 /// Applies the ratio-based regression gate for the path-parallel engine:
 /// `path_engine/serial` over `path_engine/chunked` must stay within
-/// tolerance of the baseline's `path_speedup`. Skips gracefully when the
-/// baseline predates the path gate, when no path-engine results exist,
-/// or on a single-core machine.
+/// tolerance of the baseline's `path_speedup`. Skips gracefully when no
+/// baseline or no path-engine results exist, or on a single-core
+/// machine.
 pub fn apply_path_gate(
     path_engine: Option<&PathEngineSummary>,
     baseline: Option<&Baseline>,
@@ -712,15 +680,12 @@ pub fn apply_path_gate(
     let Some(baseline) = baseline else {
         return GateOutcome::Skip("no checked-in baseline".into());
     };
-    let Some(reference) = baseline.path_speedup else {
-        return GateOutcome::Skip("baseline has no path_speedup reference".into());
-    };
     let Some(summary) = path_engine else {
         return GateOutcome::Skip("no path_engine serial/chunked results".into());
     };
     gate_ratio(
         summary.speedup,
-        reference,
+        baseline.path_speedup,
         baseline.tolerance,
         threads_available,
     )
@@ -732,13 +697,13 @@ pub fn apply_path_gate(
 /// front door exists. The reported "speedup" is
 /// `tail_drop_p99 / deadline_priority_p99` against a floor of 1.0, so
 /// equality (e.g. a sweep that never shed) passes. Skips gracefully on
-/// bare (non-fleet) runs, pre-v6 summaries, and sweeps that completed
-/// no interactive requests.
+/// bare (non-fleet) runs, documents that are not [`SERVE_SCHEMA`]
+/// summaries, and sweeps that completed no interactive requests.
 pub fn apply_fleet_slo_gate(summary_json: Option<&str>) -> GateOutcome {
     let Some(json) = summary_json else {
         return GateOutcome::Skip("no BENCH_SERVE.json".into());
     };
-    if serve_summary_headline(json).is_none() {
+    if serve_summary(json).is_none() {
         return GateOutcome::Skip("not a recognized serve summary".into());
     }
     let (Some(dp), Some(td)) = (
@@ -846,16 +811,18 @@ mod tests {
 
     #[test]
     fn baseline_parses_with_default_tolerance() {
-        let b = parse_baseline("{\"shot_engine_speedup\": 2.0}").unwrap();
+        let b = parse_baseline("{\"shot_engine_speedup\": 2.0, \"path_speedup\": 1.6}").unwrap();
         assert_eq!(b.shot_engine_speedup, 2.0);
-        assert_eq!(b.path_speedup, None);
+        assert_eq!(b.path_speedup, 1.6);
         assert_eq!(b.tolerance, 0.25);
         let b = parse_baseline(
-            "{\"shot_engine_speedup\": 3.0, \"path_speedup\": 1.6, \"tolerance\": 0.1}",
+            "{\"shot_engine_speedup\": 3.0, \"path_speedup\": 1.2, \"tolerance\": 0.1}",
         )
         .unwrap();
-        assert_eq!(b.path_speedup, Some(1.6));
+        assert_eq!(b.path_speedup, 1.2);
         assert_eq!(b.tolerance, 0.1);
+        // Both references are required.
+        assert!(parse_baseline("{\"shot_engine_speedup\": 2.0}").is_none());
         assert!(parse_baseline("{}").is_none());
     }
 
@@ -865,7 +832,7 @@ mod tests {
         let summary = shot_engine_summary(&recs);
         let baseline = Baseline {
             shot_engine_speedup: 2.0,
-            path_speedup: None,
+            path_speedup: 1.6,
             tolerance: 0.25,
         };
         match apply_gate(summary.as_ref(), Some(&baseline), 8) {
@@ -877,7 +844,7 @@ mod tests {
         }
         let tight = Baseline {
             shot_engine_speedup: 8.0,
-            path_speedup: None,
+            path_speedup: 1.6,
             tolerance: 0.25,
         };
         assert!(matches!(
@@ -892,7 +859,7 @@ mod tests {
         let summary = path_engine_summary(&recs);
         let baseline = Baseline {
             shot_engine_speedup: 2.0,
-            path_speedup: Some(1.6),
+            path_speedup: 1.6,
             tolerance: 0.25,
         };
         match apply_path_gate(summary.as_ref(), Some(&baseline), 8) {
@@ -903,22 +870,14 @@ mod tests {
             other => panic!("expected pass, got {other:?}"),
         }
         let tight = Baseline {
-            path_speedup: Some(8.0),
+            path_speedup: 8.0,
             ..baseline
         };
         assert!(matches!(
             apply_path_gate(summary.as_ref(), Some(&tight), 8),
             GateOutcome::Fail { .. }
         ));
-        // Skips: pre-v3 baseline (no reference), no results, single core.
-        let legacy = Baseline {
-            path_speedup: None,
-            ..baseline
-        };
-        assert!(matches!(
-            apply_path_gate(summary.as_ref(), Some(&legacy), 8),
-            GateOutcome::Skip(_)
-        ));
+        // Skips: no results, single core, no baseline.
         assert!(matches!(
             apply_path_gate(None, Some(&baseline), 8),
             GateOutcome::Skip(_)
@@ -997,58 +956,54 @@ mod tests {
     }
 
     #[test]
-    fn serve_summary_headline_tolerates_old_and_new_schemas() {
-        // v2 (pre-ArchSpec): no `arch` key — reported as virtual.
-        let v2 = "{\"schema\": \"qram-bench/serve-summary/v2\", \"mode\": \"closed\", \
-                  \"requests\": 256}";
+    fn serve_summary_headline_reads_only_the_current_schema() {
+        let closed = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"closed\", \
+                      \"arch\": \"virtual\", \"requests\": 256}";
         assert_eq!(
-            serve_summary_headline(v2).unwrap(),
-            "qram-bench/serve-summary/v2: mode=closed arch=virtual requests=256"
+            serve_summary_headline(closed).unwrap(),
+            "qram-bench/serve-summary/v6: mode=closed arch=virtual requests=256"
         );
-        // v3: explicit arch, open mode counts per point.
-        let v3 = "{\"schema\": \"qram-bench/serve-summary/v3\", \"mode\": \"open\", \
-                  \"arch\": \"mix\", \"requests_per_point\": 64}";
+        // Open mode counts per point.
+        let open = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
+                    \"arch\": \"mix\", \"requests_per_point\": 64}";
         assert_eq!(
-            serve_summary_headline(v3).unwrap(),
-            "qram-bench/serve-summary/v3: mode=open arch=mix requests=64"
+            serve_summary_headline(open).unwrap(),
+            "qram-bench/serve-summary/v6: mode=open arch=mix requests=64"
         );
-        // Not a serve summary at all.
+        // Older generations and foreign documents are not read.
+        let v5 = closed.replace("/v6", "/v5");
+        assert!(serve_summary_headline(&v5).is_none());
+        assert!(serve_telemetry_headline(&v5).is_none());
         assert!(serve_summary_headline("{\"schema\": \"qram-bench/bench-summary/v2\"}").is_none());
         assert!(serve_summary_headline("{}").is_none());
     }
 
     #[test]
-    fn serve_policy_headline_tolerates_v4_and_v5() {
-        // v4: predates `release_policy` — no policy line, but the
-        // summary headline itself still renders.
-        let v4 = "{\"schema\": \"qram-bench/serve-summary/v4\", \"mode\": \"closed\", \
-                  \"arch\": \"virtual\", \"requests\": 256}";
-        assert!(serve_policy_headline(v4).is_none());
-        assert!(serve_summary_headline(v4).is_some());
-
-        // v5 closed: policy alone (no compare block, unlimited budget).
-        let v5_closed = "{\"schema\": \"qram-bench/serve-summary/v5\", \"mode\": \"closed\", \
-                         \"release_policy\": \"oldest-first\", \"qubit_budget\": 0}";
+    fn serve_policy_headline_reads_closed_and_open_summaries() {
+        // Closed: policy alone (no compare block, unlimited budget).
+        let closed = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"closed\", \
+                      \"release_policy\": \"oldest-first\", \"qubit_budget\": 0}";
         assert_eq!(
-            serve_policy_headline(v5_closed).unwrap(),
+            serve_policy_headline(closed).unwrap(),
             "release policy oldest-first"
         );
 
-        // v5 open: budget plus the head-to-head deltas.
-        let v5_open = "{\"schema\": \"qram-bench/serve-summary/v5\", \"mode\": \"open\", \
-                       \"release_policy\": \"cache-affine\", \"qubit_budget\": 64, \
-                       \"policy_compare\": {\"compare_load\": 1.00, \
-                       \"p50_oldest_first_ns\": 34303, \"p99_oldest_first_ns\": 60000, \
-                       \"mean_compile_oldest_first_ns\": 4336.5, \
-                       \"p50_cache_affine_ns\": 33150, \"p99_cache_affine_ns\": 59000, \
-                       \"mean_compile_cache_affine_ns\": 4090.2}}";
+        // Open: budget plus the head-to-head deltas.
+        let open = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
+                    \"release_policy\": \"cache-affine\", \"qubit_budget\": 64, \
+                    \"policy_compare\": {\"compare_load\": 1.00, \
+                    \"p50_oldest_first_ns\": 34303, \"p99_oldest_first_ns\": 60000, \
+                    \"mean_compile_oldest_first_ns\": 4336.5, \
+                    \"p50_cache_affine_ns\": 33150, \"p99_cache_affine_ns\": 59000, \
+                    \"mean_compile_cache_affine_ns\": 4090.2}}";
         assert_eq!(
-            serve_policy_headline(v5_open).unwrap(),
+            serve_policy_headline(open).unwrap(),
             "release policy cache-affine, qubit budget 64; head-to-head at capacity: \
              p50 34.3 -> 33.1 us, mean compile 4.34 -> 4.09 us"
         );
 
-        // Not a serve summary at all.
+        // A v5 summary is not read, nor is a foreign document.
+        assert!(serve_policy_headline(&closed.replace("/v6", "/v5")).is_none());
         assert!(serve_policy_headline("{\"schema\": \"qram-bench/bench-summary/v2\"}").is_none());
     }
 
@@ -1056,6 +1011,7 @@ mod tests {
     fn serve_fleet_headline_tolerates_bare_and_fleet_summaries() {
         // Bare (non-fleet) v6 open run: no fleet_* keys, no fleet line.
         let bare = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
+                    \"arch\": \"virtual\", \"requests_per_point\": 256, \
                     \"release_policy\": \"oldest-first\"}";
         assert!(serve_fleet_headline(bare).is_none());
         assert!(serve_summary_headline(bare).is_some());
@@ -1121,14 +1077,6 @@ mod tests {
             GateOutcome::Skip(_)
         ));
         assert!(matches!(apply_fleet_slo_gate(None), GateOutcome::Skip(_)));
-    }
-
-    #[test]
-    fn fnv1a_is_stable_and_order_sensitive() {
-        // Reference vectors for 64-bit FNV-1a.
-        assert_eq!(fnv1a_64([]), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(*b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a_64(*b"ab"), fnv1a_64(*b"ba"));
     }
 
     #[test]
@@ -1298,7 +1246,7 @@ mod tests {
         let summary = shot_engine_summary(&recs);
         let baseline = Baseline {
             shot_engine_speedup: 2.0,
-            path_speedup: None,
+            path_speedup: 1.6,
             tolerance: 0.25,
         };
         // No baseline checked in.

@@ -38,7 +38,8 @@ pub use router::{RouteDecision, Router};
 use front::FrontDoor;
 use qram_core::Memory;
 use qram_service::{
-    Admission, QramService, QueryResult, QuerySpec, ServiceConfig, SloClass, TenantId, Ticks,
+    Admission, BatchReport, QramService, QueryResult, QuerySpec, ServiceConfig, SloClass, TenantId,
+    Ticks,
 };
 use qram_telemetry::{
     fnv1a_64, key, AdmissionOutcome, MetricsRegistry, NoopRecorder, Recorder, SpanEvent, SpanStage,
@@ -544,6 +545,17 @@ impl<R: Recorder> FleetController<R> {
         std::mem::take(&mut self.completed)
     }
 
+    /// Takes every shard's batch reports (see
+    /// [`QramService::take_batch_reports`]), concatenated in shard
+    /// order. Each shard's report buffer is capped, so take them
+    /// after every [`submit_at`](Self::submit_at) under heavy traffic.
+    pub fn take_batch_reports(&mut self) -> Vec<BatchReport> {
+        self.shards
+            .iter_mut()
+            .flat_map(QramService::take_batch_reports)
+            .collect()
+    }
+
     /// The earliest pending event instant across all shards, filtered
     /// to `bound` when given.
     fn next_tick(&self, bound: Option<Ticks>) -> Option<Ticks> {
@@ -743,6 +755,43 @@ mod tests {
         assert!(r.result.value, "memory bit 3 is set (3 % 3 == 0)");
         assert_eq!(fleet.stats().completed, 1);
         assert_eq!(fleet.stats().per_tenant[&TenantId(1)].completed, 1);
+    }
+
+    #[test]
+    fn batch_reports_concatenate_in_shard_order_and_cover_every_fire() {
+        let mut fleet = FleetController::new(memory(3), base_config(3).with_replication(1));
+        let specs = qram_service::mixed_arch_specs(3);
+        for i in 0..60u64 {
+            let spec = specs[(i % specs.len() as u64) as usize];
+            fleet.submit_at(i % 8, spec, i * 200, TenantId(0), SloClass::Batch);
+        }
+        let results = fleet.run_until_idle();
+        let fired: Vec<u64> = fleet
+            .shards()
+            .iter()
+            .map(|s| s.metrics_snapshot().counter(key::BATCHES_FIRED))
+            .collect();
+        assert!(
+            fired.iter().filter(|&&n| n > 0).count() > 1,
+            "traffic spans shards"
+        );
+        // Replication 1 serves each spec on one shard, so a report's
+        // spec names the shard it came from.
+        let shard_of = |spec: QuerySpec| {
+            results
+                .iter()
+                .find(|r| r.result.spec == spec)
+                .unwrap()
+                .shard
+        };
+        let reports = fleet.take_batch_reports();
+        assert_eq!(reports.len() as u64, fired.iter().sum::<u64>());
+        let order: Vec<usize> = reports.iter().map(|b| shard_of(b.spec)).collect();
+        assert!(
+            order.windows(2).all(|w| w[0] <= w[1]),
+            "shard order: {order:?}"
+        );
+        assert!(fleet.take_batch_reports().is_empty(), "taking clears");
     }
 
     #[test]

@@ -85,40 +85,6 @@ impl QuerySpec {
         Ok(self)
     }
 
-    /// Overrides the optimization set.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the spec names the virtual QRAM — no other
-    /// architecture has optimization switches.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_with_optimizations`, which reports non-virtual specs as an error"
-    )]
-    pub fn with_optimizations(self, opts: Optimizations) -> Self {
-        match self.try_with_optimizations(opts) {
-            Ok(spec) => spec,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Overrides the data encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the spec names the virtual QRAM — no other
-    /// architecture has encoding switches.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_with_encoding`, which reports non-virtual specs as an error"
-    )]
-    pub fn with_encoding(self, encoding: DataEncoding) -> Self {
-        match self.try_with_encoding(encoding) {
-            Ok(spec) => spec,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Total address width `n` the spec serves.
     pub fn address_width(&self) -> usize {
         self.arch.address_width()
@@ -370,20 +336,6 @@ mod tests {
                 encoding: DataEncoding::Bit,
             }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no optimization switches")]
-    #[allow(deprecated)] // pins the legacy panicking alias for one release
-    fn deprecated_optimization_alias_still_panics() {
-        let _ = QuerySpec::of(ArchSpec::Sqc { n: 3 }).with_optimizations(Optimizations::RAW);
-    }
-
-    #[test]
-    #[should_panic(expected = "no data-encoding switches")]
-    #[allow(deprecated)] // pins the legacy panicking alias for one release
-    fn deprecated_encoding_alias_still_panics() {
-        let _ = QuerySpec::of(ArchSpec::Fanout { m: 3 }).with_encoding(DataEncoding::DualRail);
     }
 
     #[test]

@@ -246,27 +246,6 @@ impl DeadlineBatcher {
     }
 }
 
-/// Groups a whole queue into spec-compatible batches of at most
-/// `batch_limit` requests, as if every request arrived at once and the
-/// batcher was flushed — the closed-loop plan, kept as a pure function
-/// for tests and one-shot callers.
-///
-/// Specs are emitted in the order their groups fill or flush; a spec
-/// with more than `batch_limit` queued requests yields several batches.
-///
-/// # Panics
-///
-/// Panics if `batch_limit == 0`.
-pub fn plan_batches(queue: &[QueryRequest], batch_limit: usize) -> Vec<QueryBatch> {
-    let mut batcher = DeadlineBatcher::new(batch_limit, Ticks::MAX);
-    let mut batches: Vec<QueryBatch> = queue
-        .iter()
-        .filter_map(|&request| batcher.push(request))
-        .collect();
-    batches.extend(batcher.flush());
-    batches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,14 +269,11 @@ mod tests {
     fn groups_by_spec_in_first_arrival_order() {
         let a = QuerySpec::new(0, 2);
         let b = QuerySpec::new(1, 1);
-        let queue = vec![
-            request(0, a),
-            request(1, b),
-            request(2, a),
-            request(3, b),
-            request(4, a),
-        ];
-        let batches = plan_batches(&queue, 16);
+        let mut batcher = DeadlineBatcher::new(16, Ticks::MAX);
+        for (id, spec) in [(0, a), (1, b), (2, a), (3, b), (4, a)] {
+            assert!(batcher.push(request(id, spec)).is_none());
+        }
+        let batches = batcher.flush();
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].spec, a);
         assert_eq!(batches[1].spec, b);
@@ -315,8 +291,11 @@ mod tests {
     #[test]
     fn batch_limit_splits_large_groups() {
         let spec = QuerySpec::new(0, 2);
-        let queue: Vec<_> = (0..10).map(|i| request(i, spec)).collect();
-        let batches = plan_batches(&queue, 4);
+        let mut batcher = DeadlineBatcher::new(4, Ticks::MAX);
+        let mut batches: Vec<QueryBatch> = (0..10)
+            .filter_map(|i| batcher.push(request(i, spec)))
+            .collect();
+        batches.extend(batcher.flush());
         assert_eq!(
             batches.iter().map(QueryBatch::len).collect::<Vec<_>>(),
             vec![4, 4, 2]
@@ -326,13 +305,13 @@ mod tests {
 
     #[test]
     fn empty_queue_plans_no_batches() {
-        assert!(plan_batches(&[], 8).is_empty());
+        assert!(DeadlineBatcher::new(8, Ticks::MAX).flush().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "batch limit must be positive")]
     fn zero_batch_limit_is_rejected() {
-        let _ = plan_batches(&[], 0);
+        let _ = DeadlineBatcher::new(0, Ticks::MAX);
     }
 
     #[test]
@@ -445,9 +424,8 @@ mod tests {
 
     #[test]
     fn max_slack_disables_deadline_firing_without_overflow() {
-        // Ticks::MAX is the "fire on batch limit only" sentinel (used
-        // by plan_batches); it must saturate, not wrap, for nonzero
-        // arrival times.
+        // Ticks::MAX is the "fire on batch limit only" sentinel; it
+        // must saturate, not wrap, for nonzero arrival times.
         let spec = QuerySpec::new(0, 2);
         let mut batcher = DeadlineBatcher::new(4, Ticks::MAX);
         batcher.push(at(0, spec, 1_000));
