@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qram_bench::experiment_memory;
 use qram_core::{QueryArchitecture, VirtualQram};
 use qram_noise::{FaultSampler, NoiseModel, PauliChannel};
-use qram_sim::{monte_carlo_fidelity_with, run, run_with_faults, ShotConfig};
+use qram_sim::{run, run_shots_stats, run_with_faults, ShotConfig};
 
 fn bench_noiseless_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("noiseless_query");
@@ -43,7 +43,7 @@ fn bench_noisy_shot(c: &mut Criterion) {
                 let plan = sampler.sample_shot(shot);
                 shot += 1;
                 let mut state = input.clone();
-                run_with_faults(query.circuit().gates(), &mut state, &plan).unwrap();
+                run_with_faults(query.circuit().gates(), &mut state, &plan, 1).unwrap();
                 state.num_paths()
             })
         });
@@ -95,11 +95,11 @@ fn bench_shot_engine(c: &mut Criterion) {
         let config = ShotConfig::new(shots).with_seed(9).with_threads(threads);
         group.bench_function(label, |b| {
             b.iter(|| {
-                monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, |shot| {
-                    sampler.sample_shot(shot)
-                })
-                .unwrap()
-                .mean
+                let sample = |shot| sampler.sample_shot(shot);
+                let (est, _) =
+                    run_shots_stats(query.circuit().gates(), &input, None, &config, &sample)
+                        .unwrap();
+                est.mean
             })
         });
     }
@@ -130,11 +130,11 @@ fn bench_path_engine(c: &mut Criterion) {
             .with_path_chunks(chunks);
         group.bench_function(label, |b| {
             b.iter(|| {
-                monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, |shot| {
-                    sampler.sample_shot(shot)
-                })
-                .unwrap()
-                .mean
+                let sample = |shot| sampler.sample_shot(shot);
+                let (est, _) =
+                    run_shots_stats(query.circuit().gates(), &input, None, &config, &sample)
+                        .unwrap();
+                est.mean
             })
         });
     }

@@ -17,7 +17,7 @@ use qram_circuit::decompose::{lower, CliffordTGate};
 use qram_core::{DataEncoding, QueryArchitecture, VirtualQram};
 use qram_layout::{route, route_with_chosen_layout, CouplingGraph};
 use qram_noise::{ibm_perth, ibmq_guadalupe, DeviceModel, ErrorReductionFactor, FaultSampler};
-use qram_sim::monte_carlo_fidelity_with;
+use qram_sim::run_shots_stats;
 
 /// Scales a device model's 2-qubit channel by the routed/unrouted CX
 /// ratio, charging the SWAP overhead to every 2-qubit gate.
@@ -75,10 +75,9 @@ fn main() {
             let effective = ErrorReductionFactor(er.0 / penalty);
             let sampler =
                 FaultSampler::for_device(query.circuit(), &device, effective, config.seed);
-            let est = monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, |shot| {
-                sampler.sample_shot(shot)
-            })
-            .expect("simulable");
+            let sample = |shot| sampler.sample_shot(shot);
+            let (est, _) = run_shots_stats(query.circuit().gates(), &input, None, &config, &sample)
+                .expect("simulable");
             print_row(&[
                 device.name().to_string(),
                 m.to_string(),

@@ -10,7 +10,7 @@
 //!   the default);
 //! * `--path-chunks N` — parallel path chunks inside each shot (`1` =
 //!   serial, the default; `0` = auto). Results are bit-identical for any
-//!   `(threads, path-chunks)` pair; see [`qram_sim::run_shots`].
+//!   `(threads, path-chunks)` pair; see [`qram_sim::run_shots_stats`].
 
 use qram_sim::ShotConfig;
 

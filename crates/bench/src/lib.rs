@@ -32,9 +32,7 @@ pub use cli::RunOptions;
 
 use qram_core::{Memory, QueryArchitecture};
 use qram_noise::{ErrorReductionFactor, FaultSampler, NoiseModel};
-use qram_sim::{
-    monte_carlo_fidelity_with, monte_carlo_reduced_fidelity_with, FidelityEstimate, ShotConfig,
-};
+use qram_sim::{run_shots_stats, FidelityEstimate, ShotConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,21 +68,17 @@ pub fn architecture_fidelity(
     let query = arch.build(memory);
     let input = query.input_state(None);
     let sampler = FaultSampler::new(query.circuit(), model, config.seed);
+    let keep = (kind == FidelityKind::Reduced).then(|| query.output_qubits());
     let sample = |shot| sampler.sample_shot(shot);
-    match kind {
-        FidelityKind::Full => {
-            monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, sample)
-                .expect("generated circuits are always simulable")
-        }
-        FidelityKind::Reduced => monte_carlo_reduced_fidelity_with(
-            query.circuit().gates(),
-            &input,
-            &query.output_qubits(),
-            &config,
-            sample,
-        )
-        .expect("generated circuits are always simulable"),
-    }
+    run_shots_stats(
+        query.circuit().gates(),
+        &input,
+        keep.as_deref(),
+        &config,
+        &sample,
+    )
+    .expect("generated circuits are always simulable")
+    .0
 }
 
 /// A deterministic pseudo-random memory for experiment reproducibility.

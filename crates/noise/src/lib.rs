@@ -15,9 +15,10 @@
 //!
 //! [`FaultSampler`] turns a circuit + model + master seed into the
 //! `FaultPlan` of one Monte-Carlo shot, ready for
-//! `qram_sim::run_with_faults`. Each shot's plan is a pure function of
-//! `(seed, shot index)` — the contract the sharded parallel shot engine
-//! in `qram_sim` needs for thread-count-independent estimates.
+//! `qram_sim::run_with_faults`, and its `sample_shot` method is the
+//! per-shot sampler `qram_sim::run_shots_stats` takes. Each shot's plan
+//! is a pure function of `(seed, shot index)` — the contract the sharded
+//! parallel shot engine needs for thread-count-independent estimates.
 //! [`DeviceModel`] adds coupling-map-aware device descriptions standing in
 //! for the IBMQ backends of Appendix A (see the DESIGN.md substitution
 //! table: we encode the published topologies with uniform error rates
@@ -29,7 +30,7 @@
 //! ```
 //! use qram_circuit::{Circuit, Gate, Qubit};
 //! use qram_noise::{FaultSampler, NoiseModel, PauliChannel};
-//! use qram_sim::{monte_carlo_fidelity, PathState};
+//! use qram_sim::{run_shots_stats, PathState, ShotConfig};
 //!
 //! # fn main() -> Result<(), qram_sim::SimError> {
 //! let mut c = Circuit::new(2);
@@ -38,7 +39,8 @@
 //! let model = NoiseModel::per_gate(PauliChannel::phase_flip(1e-3));
 //! let sampler = FaultSampler::new(&c, model, 7);
 //! let input = PathState::uniform_over(2, &[Qubit(0)]);
-//! let est = monte_carlo_fidelity(c.gates(), &input, 256, |shot| sampler.sample_shot(shot))?;
+//! let sample = |shot| sampler.sample_shot(shot);
+//! let (est, _) = run_shots_stats(c.gates(), &input, None, &ShotConfig::new(256), &sample)?;
 //! assert!(est.mean > 0.95);
 //! # Ok(())
 //! # }

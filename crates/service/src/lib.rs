@@ -54,7 +54,7 @@
 //! * [`QramService`] — the engine: `submit`/`drain` for closed-loop
 //!   clients, `try_submit_at`/`poll` for open-loop arrival processes,
 //!   and a work-stealing per-request executor dispatching onto the
-//!   sharded shot engine ([`qram_sim::run_shots`]) with deterministic
+//!   sharded shot engine ([`qram_sim::run_shots_stats`]) with deterministic
 //!   per-request seeds — results are **bit-identical for any worker
 //!   count**, latency breakdowns included;
 //! * [`Workload`] / [`ArrivalProcess`] / [`SpecMix`] / [`ClosedLoop`] —

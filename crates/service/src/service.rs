@@ -91,9 +91,9 @@ pub struct ServiceConfig {
     pub noise: NoiseModel,
     /// Bound on in-system requests (pending + executing) for the
     /// non-blocking admission path; offers beyond it are
-    /// [shed](Admission::Shed). The closed-loop [`submit`]
-    /// (QramService::submit) path models a blocking client and is
-    /// exempt.
+    /// [shed](Admission::Shed). The closed-loop
+    /// [`submit`](QramService::submit) path models a blocking client and
+    /// is exempt.
     pub queue_capacity: usize,
     /// Deadline slack in virtual ns: a pending batch fires at the latest
     /// `deadline` ticks after its oldest member arrived, even if under
@@ -507,7 +507,7 @@ impl<R: Recorder> QramService<R> {
     /// [`drain`](QramService::drain) or call to this method, in firing
     /// order — the open-loop counterpart of [`ServiceReport::batches`].
     ///
-    /// At most [`MAX_BATCH_REPORTS`] are retained between takes; check
+    /// At most `MAX_BATCH_REPORTS` (4096) are retained between takes; check
     /// [`batch_reports_dropped`](QramService::batch_reports_dropped)
     /// when harvesting infrequently under heavy traffic.
     pub fn take_batch_reports(&mut self) -> Vec<BatchReport> {
@@ -515,7 +515,7 @@ impl<R: Recorder> QramService<R> {
     }
 
     /// Batch reports dropped (oldest first) because more than
-    /// [`MAX_BATCH_REPORTS`] accumulated between takes.
+    /// `MAX_BATCH_REPORTS` (4096) accumulated between takes.
     pub fn batch_reports_dropped(&self) -> u64 {
         self.metrics.counter(key::BATCH_REPORTS_DROPPED)
     }

@@ -14,7 +14,7 @@
 //!   [`FidelityEstimate`] folds that vector in index order — the same
 //!   floating-point reduction regardless of sharding;
 //! * within a shot, the path-parallel executor
-//!   ([`crate::run_with_faults_chunked`]) is bit-identical to the serial
+//!   ([`crate::run_with_faults`]) is bit-identical to the serial
 //!   one because paths never interact during gate application — chunking
 //!   changes which thread transforms a path, never the operations applied
 //!   to it, and the overlap reductions always run serially over the
@@ -42,9 +42,8 @@ use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::{
-    run_with_faults, run_with_faults_chunked, FaultPlan, FidelityEstimate, PathState, SimError,
-};
+use crate::executor::{execute, validate_faults};
+use crate::{run_with_faults, FaultPlan, FidelityEstimate, PathState, SimError};
 
 fn available_cores() -> usize {
     thread::available_parallelism()
@@ -197,7 +196,8 @@ impl ShotStats {
 /// Runs `config.shots` noisy trajectories of `gates` on `input` and
 /// estimates the fidelity against the noise-free run — over the full
 /// state, or reduced to `keep` when given (see
-/// [`PathState::reduced_fidelity`]).
+/// [`PathState::reduced_fidelity`]) — together with the [`ShotStats`]
+/// summed over all shards.
 ///
 /// `sample_plan` is called exactly once per shot with the shot index and
 /// must return that shot's fault pattern; it must be a pure function of
@@ -205,35 +205,34 @@ impl ShotStats {
 /// to hold. Shots whose plan is empty short-circuit to fidelity 1 without
 /// replaying the circuit.
 ///
-/// The estimate is bit-identical for every `(threads, path_chunks)`
-/// combination: shot sharding only re-partitions which thread runs a
-/// shot, and path chunking only re-partitions which thread transforms a
-/// path (see [`crate::run_with_faults_chunked`]).
+/// The estimate and the stats are bit-identical for every
+/// `(threads, path_chunks)` combination: shot sharding only re-partitions
+/// which thread runs a shot, and path chunking only re-partitions which
+/// thread transforms a path (see [`crate::run_with_faults`]).
+///
+/// ```
+/// use qram_circuit::{Circuit, Gate, Qubit};
+/// use qram_sim::{run_shots_stats, FaultPlan, PathState, ShotConfig};
+///
+/// # fn main() -> Result<(), qram_sim::SimError> {
+/// let mut c = Circuit::new(2);
+/// c.push(Gate::cx(Qubit(0), Qubit(1)));
+/// let input = PathState::uniform_over(2, &[Qubit(0)]);
+/// // Noise-free sampler: fidelity is exactly 1 and no shot replays.
+/// let config = ShotConfig::new(16);
+/// let (est, stats) = run_shots_stats(c.gates(), &input, None, &config, &|_| FaultPlan::new())?;
+/// assert!((est.mean - 1.0).abs() < 1e-12);
+/// assert_eq!(stats.replayed, 0);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
-/// Propagates the first simulation error from the ideal run or any shot
-/// (by lowest shard; all shards run to completion or error independently).
-pub fn run_shots(
-    gates: &[Gate],
-    input: &PathState,
-    keep: Option<&[Qubit]>,
-    config: &ShotConfig,
-    sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
-) -> Result<FidelityEstimate, SimError> {
-    run_shots_stats(gates, input, keep, config, sample_plan).map(|(estimate, _)| estimate)
-}
-
-/// [`run_shots`] with per-shard work counters: returns the estimate
-/// together with the [`ShotStats`] summed over all shards (in shard
-/// order, though `u64` addition makes the order immaterial).
-///
-/// The stats are bit-identical across `(threads, path_chunks)` for the
-/// same reason the estimate is — see [`ShotStats`].
-///
-/// # Errors
-///
-/// Same contract as [`run_shots`].
+/// The gate list is validated once, by the ideal run; each replayed shot
+/// then checks only its own faults. Returns the ideal run's error, else
+/// the first shot error by lowest shard (all shards run to completion or
+/// error independently).
 pub fn run_shots_stats(
     gates: &[Gate],
     input: &PathState,
@@ -243,7 +242,7 @@ pub fn run_shots_stats(
 ) -> Result<(FidelityEstimate, ShotStats), SimError> {
     let path_chunks = config.resolved_path_chunks();
     let mut ideal = input.clone();
-    run_with_faults_chunked(gates, &mut ideal, &FaultPlan::new(), path_chunks)?;
+    run_with_faults(gates, &mut ideal, &FaultPlan::new(), path_chunks)?;
 
     let shots = config.shots;
     if shots == 0 {
@@ -301,32 +300,13 @@ pub fn run_shots_stats(
     Ok((FidelityEstimate::from_samples(&samples), stats))
 }
 
-/// [`run_shots_stats`] that feeds the counters straight into a
-/// telemetry [`Recorder`](qram_telemetry::Recorder) — the engine-side
-/// end of the instrumentation thread running through the service.
-///
-/// # Errors
-///
-/// Same contract as [`run_shots`]; nothing is recorded on error.
-pub fn run_shots_recorded(
-    gates: &[Gate],
-    input: &PathState,
-    keep: Option<&[Qubit]>,
-    config: &ShotConfig,
-    sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
-    recorder: &mut impl qram_telemetry::Recorder,
-) -> Result<FidelityEstimate, SimError> {
-    let (estimate, stats) = run_shots_stats(gates, input, keep, config, sample_plan)?;
-    stats.record_into(recorder);
-    Ok(estimate)
-}
-
 /// Runs one shard's contiguous shot range, writing fidelities into `out`.
 ///
-/// Each noisy shot replays the circuit over `path_chunks` parallel path
-/// ranges of the scratch slab; the overlap reduction then runs serially
-/// over the whole slab, so the sample value is bit-identical to the
-/// serial engine's.
+/// Each noisy shot checks its faults against the (already validated)
+/// circuit, then replays it over `path_chunks` parallel path ranges of
+/// the scratch slab; the overlap reduction then runs serially over the
+/// whole slab, so the sample value is bit-identical to the serial
+/// engine's.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     gates: &[Gate],
@@ -352,12 +332,10 @@ fn run_shard(
         stats.replayed += 1;
         stats.faults += plan.len() as u64;
         stats.gate_applications += gates.len() as u64;
+        let faults = plan.sorted();
+        validate_faults(&faults, gates.len(), input.num_qubits())?;
         scratch.clone_from(input);
-        if path_chunks > 1 {
-            run_with_faults_chunked(gates, &mut scratch, &plan, path_chunks)?;
-        } else {
-            run_with_faults(gates, &mut scratch, &plan)?;
-        }
+        execute(gates, &mut scratch, &faults, path_chunks);
         *slot = match keep {
             None => ideal.fidelity(&scratch),
             Some(keep) => ideal.reduced_fidelity(&scratch, keep),
@@ -370,7 +348,7 @@ fn run_shard(
 mod tests {
     use super::*;
     use crate::{Fault, Pauli};
-    use qram_circuit::{Circuit, Qubit};
+    use qram_circuit::Circuit;
 
     /// A cheap deterministic per-shot sampler: X-faults qubit 0 on shots
     /// whose mixed index hashes odd, Z-faults every third shot.
@@ -384,6 +362,17 @@ mod tests {
             plan.push(Fault::new(1, Qubit(1), Pauli::Z));
         }
         plan
+    }
+
+    /// The estimate half of [`run_shots_stats`].
+    fn estimate(
+        gates: &[Gate],
+        input: &PathState,
+        keep: Option<&[Qubit]>,
+        config: &ShotConfig,
+        sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
+    ) -> Result<FidelityEstimate, SimError> {
+        run_shots_stats(gates, input, keep, config, sample_plan).map(|(est, _)| est)
     }
 
     fn test_circuit() -> (Circuit, PathState) {
@@ -400,7 +389,7 @@ mod tests {
         let mut estimates = Vec::new();
         for threads in [1usize, 2, 3, 4, 7] {
             let config = ShotConfig::new(64).with_threads(threads);
-            let est = run_shots(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
+            let est = estimate(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
             estimates.push(est);
         }
         for est in &estimates[1..] {
@@ -419,7 +408,7 @@ mod tests {
         c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(2)));
         let input = PathState::uniform_over(3, &[Qubit(0)]);
         let keep = [Qubit(0), Qubit(1)];
-        let one = run_shots(
+        let one = estimate(
             c.gates(),
             &input,
             Some(&keep),
@@ -427,7 +416,7 @@ mod tests {
             &pseudo_random_plan,
         )
         .unwrap();
-        let four = run_shots(
+        let four = estimate(
             c.gates(),
             &input,
             Some(&keep),
@@ -441,7 +430,7 @@ mod tests {
     #[test]
     fn identical_estimates_across_thread_and_chunk_matrix() {
         let (c, input) = test_circuit();
-        let reference = run_shots(
+        let reference = estimate(
             c.gates(),
             &input,
             None,
@@ -454,7 +443,7 @@ mod tests {
                 let config = ShotConfig::new(64)
                     .with_threads(threads)
                     .with_path_chunks(chunks);
-                let est = run_shots(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
+                let est = estimate(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
                 // Bit-identical, not approximately equal.
                 assert_eq!(est, reference, "threads={threads} chunks={chunks}");
             }
@@ -469,7 +458,7 @@ mod tests {
         c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(2)));
         let input = PathState::uniform_over(3, &[Qubit(0)]);
         let keep = [Qubit(0), Qubit(1)];
-        let serial = run_shots(
+        let serial = estimate(
             c.gates(),
             &input,
             Some(&keep),
@@ -477,7 +466,7 @@ mod tests {
             &pseudo_random_plan,
         )
         .unwrap();
-        let chunked = run_shots(
+        let chunked = estimate(
             c.gates(),
             &input,
             Some(&keep),
@@ -508,7 +497,7 @@ mod tests {
         let (c, input) = test_circuit();
         let bad_plan =
             |_: u64| -> FaultPlan { [Fault::new(0, Qubit(40), Pauli::X)].into_iter().collect() };
-        let err = run_shots(
+        let err = estimate(
             c.gates(),
             &input,
             None,
@@ -522,7 +511,7 @@ mod tests {
     #[test]
     fn zero_shots_yields_empty_estimate() {
         let (c, input) = test_circuit();
-        let est = run_shots(
+        let est = estimate(
             c.gates(),
             &input,
             None,
@@ -536,7 +525,7 @@ mod tests {
     #[test]
     fn more_threads_than_shots_is_fine() {
         let (c, input) = test_circuit();
-        let est = run_shots(
+        let est = estimate(
             c.gates(),
             &input,
             None,
@@ -553,7 +542,7 @@ mod tests {
         // Fault on a qubit beyond the state: every noisy shot errors.
         let bad_plan =
             |_: u64| -> FaultPlan { [Fault::new(0, Qubit(40), Pauli::X)].into_iter().collect() };
-        let err = run_shots(
+        let err = estimate(
             c.gates(),
             &input,
             None,
@@ -599,15 +588,10 @@ mod tests {
         let (c, input) = test_circuit();
         let mut recorder = qram_telemetry::TelemetryRecorder::new();
         let config = ShotConfig::new(32).with_threads(2);
-        let est = run_shots_recorded(
-            c.gates(),
-            &input,
-            None,
-            &config,
-            &pseudo_random_plan,
-            &mut recorder,
-        )
-        .unwrap();
+        // The service's path: run, then record the merged stats.
+        let (est, stats) =
+            run_shots_stats(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
+        stats.record_into(&mut recorder);
         assert_eq!(est.shots, 32);
         let metrics = recorder.metrics();
         assert_eq!(metrics.counter(qram_telemetry::key::SIM_SHOTS), 32);

@@ -10,12 +10,17 @@
 //! Because every gate in the classical-reversible + Pauli family maps each
 //! path independently (paths never interact during execution, only in the
 //! final overlap reductions), a whole run factorizes over disjoint path
-//! ranges: [`run_with_faults_chunked`] splits the state's slab into
-//! contiguous chunks and executes the full gate/fault sequence on each
-//! chunk in parallel under [`std::thread::scope`]. The result is
-//! *bit-identical* to the serial run — each path's bit and amplitude
-//! operations are the same instruction sequence regardless of which chunk
-//! it lands in, and the slab order is preserved.
+//! ranges: [`run_with_faults`] splits the state's slab into contiguous
+//! chunks and executes the full gate/fault sequence on each chunk in
+//! parallel under [`std::thread::scope`]. The result is *bit-identical*
+//! to the serial run — each path's bit and amplitude operations are the
+//! same instruction sequence regardless of which chunk it lands in, and
+//! the slab order is preserved.
+//!
+//! Every run is validated before it executes: one state-free pass in
+//! serial execution order reports the first out-of-range qubit or
+//! non-reversible gate, and only a valid run touches the slab, so gate
+//! application itself carries no error checks.
 
 use std::thread;
 
@@ -125,7 +130,7 @@ impl FaultPlan {
     }
 
     /// The faults grouped by `gate_index`, sorted ascending.
-    fn sorted(&self) -> Vec<Fault> {
+    pub(crate) fn sorted(&self) -> Vec<Fault> {
         let mut sorted = self.faults.clone();
         sorted.sort_by_key(|f| f.gate_index);
         sorted
@@ -146,7 +151,7 @@ impl Extend<Fault> for FaultPlan {
     }
 }
 
-/// Runs `gates` over `state` without noise.
+/// Runs `gates` over `state` without noise, serially.
 ///
 /// # Errors
 ///
@@ -154,163 +159,125 @@ impl Extend<Fault> for FaultPlan {
 /// [`SimError::QubitOutOfRange`] if any gate references a qubit past the
 /// state's qubit count.
 pub fn run(gates: &[Gate], state: &mut PathState) -> Result<(), SimError> {
-    run_with_faults(gates, state, &FaultPlan::new())
+    run_with_faults(gates, state, &FaultPlan::new(), 1)
 }
 
 /// Runs `gates` over `state`, injecting the faults of `plan` at their
-/// locations (fault at `gate_index = i` fires after `i` gates executed).
+/// locations (fault at `gate_index = i` fires after `i` gates executed),
+/// over `chunks` disjoint path ranges. `chunks` is clamped to the path
+/// count; `chunks <= 1` runs inline on the calling thread, more chunks
+/// run in parallel under scoped threads.
+///
+/// The result is **bit-identical** for every chunk count: paths never
+/// interact during execution, so each path undergoes the exact same
+/// floating-point operation sequence whichever chunk it lands in, and the
+/// slab order is preserved.
 ///
 /// Barriers are scheduling pseudo-gates: they occupy a gate index (so fault
 /// locations stay aligned with generator output) but perform no action.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run`].
+/// Same conditions as [`run`], plus [`SimError::QubitOutOfRange`] for a
+/// fault that fires on a qubit past the state's qubit count. The first
+/// error in serial execution order is reported before any path is
+/// touched, so a failing run leaves `state` unchanged.
 pub fn run_with_faults(
-    gates: &[Gate],
-    state: &mut PathState,
-    plan: &FaultPlan,
-) -> Result<(), SimError> {
-    let faults = plan.sorted();
-    let num_qubits = state.num_qubits();
-    run_plan_on(gates, &mut state.as_paths_mut(), &faults, num_qubits)
-}
-
-/// Like [`run_with_faults`], but executes the gate/fault sequence over
-/// `chunks` disjoint path ranges in parallel (scoped threads, no external
-/// dependencies). `chunks` is clamped to the path count; `chunks <= 1`
-/// falls back to the serial path.
-///
-/// The result is **bit-identical** to [`run_with_faults`]: paths never
-/// interact during execution, so each path undergoes the exact same
-/// floating-point operation sequence in either mode, and the slab order
-/// is preserved.
-///
-/// # Errors
-///
-/// Same conditions as [`run`], detected by a state-free pre-validation
-/// pass that reports the first error in serial execution order.
-pub fn run_with_faults_chunked(
     gates: &[Gate],
     state: &mut PathState,
     plan: &FaultPlan,
     chunks: usize,
 ) -> Result<(), SimError> {
-    let chunks = chunks.clamp(1, state.num_paths().max(1));
-    if chunks <= 1 {
-        return run_with_faults(gates, state, plan);
-    }
-    let num_qubits = state.num_qubits();
-    // Surface the first error (in serial execution order) before any
-    // worker touches the slab; afterwards per-chunk runs cannot fail.
-    validate(gates, plan, num_qubits)?;
     let faults = plan.sorted();
-    let views = state.chunk_views(chunks);
-    thread::scope(|scope| {
-        let handles: Vec<_> = views
-            .into_iter()
-            .map(|mut view| {
-                let faults = &faults;
-                scope.spawn(move || run_plan_on(gates, &mut view, faults, num_qubits))
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("path chunk panicked")?;
-        }
-        Ok(())
-    })
+    validate(gates, &faults, state.num_qubits())?;
+    execute(gates, state, &faults, chunks);
+    Ok(())
 }
 
-/// Runs `gates` without noise over `chunks` parallel path ranges; see
-/// [`run_with_faults_chunked`].
-///
-/// # Errors
-///
-/// Same conditions as [`run`].
-pub fn run_chunked(gates: &[Gate], state: &mut PathState, chunks: usize) -> Result<(), SimError> {
-    run_with_faults_chunked(gates, state, &FaultPlan::new(), chunks)
+/// Executes an already validated run (see [`validate`]): inline over the
+/// whole slab when `chunks` clamps to 1, otherwise one scoped thread per
+/// chunk view.
+pub(crate) fn execute(gates: &[Gate], state: &mut PathState, faults: &[Fault], chunks: usize) {
+    if chunks.min(state.num_paths()) <= 1 {
+        run_plan_on(gates, &mut state.as_paths_mut(), faults);
+    } else {
+        thread::scope(|scope| {
+            for mut view in state.chunk_views(chunks) {
+                scope.spawn(move || run_plan_on(gates, &mut view, faults));
+            }
+        });
+    }
 }
 
 /// Executes the full gate/fault sequence over one slab view. `faults`
 /// must already be location-sorted ([`FaultPlan::sorted`]).
-fn run_plan_on(
-    gates: &[Gate],
-    view: &mut PathsMut<'_>,
-    faults: &[Fault],
-    num_qubits: usize,
-) -> Result<(), SimError> {
-    let mut next_fault = 0usize;
-
-    let fire =
-        |idx: usize, view: &mut PathsMut<'_>, next_fault: &mut usize| -> Result<(), SimError> {
-            while *next_fault < faults.len() && faults[*next_fault].gate_index <= idx {
-                let f = faults[*next_fault];
-                if f.qubit.index() >= num_qubits {
-                    return Err(SimError::QubitOutOfRange {
-                        index: f.qubit.index(),
-                        num_qubits,
-                    });
-                }
-                match f.pauli {
-                    Pauli::X => view.apply_x(f.qubit.index()),
-                    Pauli::Y => view.apply_y(f.qubit.index()),
-                    Pauli::Z => view.apply_z(f.qubit.index()),
-                }
-                *next_fault += 1;
+fn run_plan_on(gates: &[Gate], view: &mut PathsMut<'_>, faults: &[Fault]) {
+    let mut pending = faults.iter().peekable();
+    let mut fire = |idx: usize, view: &mut PathsMut<'_>| {
+        while let Some(f) = pending.next_if(|f| f.gate_index <= idx) {
+            match f.pauli {
+                Pauli::X => view.apply_x(f.qubit.index()),
+                Pauli::Y => view.apply_y(f.qubit.index()),
+                Pauli::Z => view.apply_z(f.qubit.index()),
             }
-            Ok(())
-        };
-
-    for (i, gate) in gates.iter().enumerate() {
-        fire(i, view, &mut next_fault)?;
-        apply_gate_on(gate, view, num_qubits)?;
-    }
-    fire(gates.len(), view, &mut next_fault)?;
-    Ok(())
-}
-
-/// State-free validation of a run: walks the serial execution order
-/// (fault fire before gate, final fire after the last gate) checking
-/// qubit bounds and gate-family legality, and reports the first error
-/// exactly where the serial executor would.
-///
-/// Faults located past the end of the circuit (`gate_index >
-/// gates.len()`) never fire and are deliberately *not* validated,
-/// matching the serial executor.
-fn validate(gates: &[Gate], plan: &FaultPlan, num_qubits: usize) -> Result<(), SimError> {
-    let faults = plan.sorted();
-    let mut next_fault = 0usize;
-    let check_fire = |idx: usize, next_fault: &mut usize| -> Result<(), SimError> {
-        while *next_fault < faults.len() && faults[*next_fault].gate_index <= idx {
-            let f = faults[*next_fault];
-            if f.qubit.index() >= num_qubits {
-                return Err(SimError::QubitOutOfRange {
-                    index: f.qubit.index(),
-                    num_qubits,
-                });
-            }
-            *next_fault += 1;
         }
-        Ok(())
     };
     for (i, gate) in gates.iter().enumerate() {
-        check_fire(i, &mut next_fault)?;
-        validate_gate(gate, num_qubits)?;
+        fire(i, view);
+        apply_gate_on(gate, view);
     }
-    check_fire(gates.len(), &mut next_fault)
+    fire(gates.len(), view);
 }
 
-/// The state-free half of [`apply_gate_on`]'s error checks: qubit bounds
-/// first (matching the executor's check order), then gate-family
+/// State-free validation of a run in serial execution order (a fault
+/// fires before the gate at its index, the final fire after the last
+/// gate): reports the first out-of-range qubit or non-reversible gate
+/// exactly where a checking executor would meet it. `faults` must be
+/// location-sorted.
+fn validate(gates: &[Gate], faults: &[Fault], num_qubits: usize) -> Result<(), SimError> {
+    let bad_gate = gates
+        .iter()
+        .enumerate()
+        .find_map(|(i, gate)| validate_gate(gate, num_qubits).err().map(|e| (i, e)));
+    // Faults at index ≤ i fire before gate i, so they come first.
+    validate_faults(
+        faults,
+        bad_gate.as_ref().map_or(gates.len(), |(i, _)| *i),
+        num_qubits,
+    )?;
+    bad_gate.map_or(Ok(()), |(_, e)| Err(e))
+}
+
+/// Checks the qubit bounds of the location-sorted `faults` that fire
+/// within the first `horizon` gates (`gate_index <= horizon`). Faults
+/// located past the end of the circuit never fire and are deliberately
+/// not validated.
+pub(crate) fn validate_faults(
+    faults: &[Fault],
+    horizon: usize,
+    num_qubits: usize,
+) -> Result<(), SimError> {
+    match faults
+        .iter()
+        .take_while(|f| f.gate_index <= horizon)
+        .find(|f| f.qubit.index() >= num_qubits)
+    {
+        Some(f) => Err(SimError::QubitOutOfRange {
+            index: f.qubit.index(),
+            num_qubits,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The error checks of one gate: qubit bounds first, then gate-family
 /// legality.
 fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
-    for q in gate.qubits() {
-        if q.index() >= num_qubits {
-            return Err(SimError::QubitOutOfRange {
-                index: q.index(),
-                num_qubits,
-            });
-        }
+    if let Some(q) = gate.qubits().into_iter().find(|q| q.index() >= num_qubits) {
+        return Err(SimError::QubitOutOfRange {
+            index: q.index(),
+            num_qubits,
+        });
     }
     if matches!(gate, Gate::H(_)) {
         return Err(SimError::NonReversibleGate { gate: "h" });
@@ -318,29 +285,16 @@ fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Applies one gate to a slab view.
-///
-/// # Errors
-///
-/// Returns [`SimError::NonReversibleGate`] for `H`,
-/// [`SimError::QubitOutOfRange`] for bad qubit indices (bounds are
-/// checked before family legality, so `validate_gate` mirrors the order).
-fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Result<(), SimError> {
-    for q in gate.qubits() {
-        if q.index() >= num_qubits {
-            return Err(SimError::QubitOutOfRange {
-                index: q.index(),
-                num_qubits,
-            });
-        }
-    }
+/// Applies one gate to a slab view. The gate must have passed
+/// [`validate_gate`]: no bounds or family check happens here.
+fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>) {
     #[inline]
     fn ctrl_active(bits: &PathBits<'_>, c: &Control) -> bool {
         bits.get(c.qubit.index()) == c.value
     }
     match gate {
         Gate::Barrier => {}
-        Gate::H(_) => return Err(SimError::NonReversibleGate { gate: "h" }),
+        Gate::H(_) => unreachable!("`H` is rejected by validation"),
         Gate::X(q) | Gate::ClX(q) => view.apply_x(q.index()),
         Gate::Y(q) => view.apply_y(q.index()),
         Gate::Z(q) => view.apply_z(q.index()),
@@ -361,10 +315,9 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
             });
         }
         Gate::Mcx { controls, target } => {
-            let cs = controls.clone();
             let t = target.index();
             view.permute_paths(|bits| {
-                if cs.iter().all(|c| ctrl_active(bits, c)) {
+                if controls.iter().all(|c| ctrl_active(bits, c)) {
                     bits.flip(t);
                 }
             });
@@ -382,7 +335,6 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
             });
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -489,13 +441,13 @@ mod tests {
 
         let mut before = PathState::computational_basis(2);
         let plan: FaultPlan = [Fault::new(0, Qubit(0), Pauli::X)].into_iter().collect();
-        run_with_faults(&gates, &mut before, &plan).unwrap();
+        run_with_faults(&gates, &mut before, &plan, 1).unwrap();
         // Fault flips control to 1 → CX fires → |11⟩.
         assert!((before.fidelity(&basis(0b11, 2)) - 1.0).abs() < 1e-12);
 
         let mut after = PathState::computational_basis(2);
         let plan: FaultPlan = [Fault::new(1, Qubit(0), Pauli::X)].into_iter().collect();
-        run_with_faults(&gates, &mut after, &plan).unwrap();
+        run_with_faults(&gates, &mut after, &plan, 1).unwrap();
         // CX saw control 0 → only the fault's flip remains → |01⟩... i.e. bit0 = 1.
         assert!((after.fidelity(&basis(0b01, 2)) - 1.0).abs() < 1e-12);
     }
@@ -509,7 +461,7 @@ mod tests {
 
         let mut noisy = PathState::computational_basis(2);
         let plan: FaultPlan = [Fault::new(0, Qubit(1), Pauli::Z)].into_iter().collect();
-        run_with_faults(&gates, &mut noisy, &plan).unwrap();
+        run_with_faults(&gates, &mut noisy, &plan, 1).unwrap();
         assert!((noisy.fidelity(&ideal) - 1.0).abs() < 1e-12);
     }
 
@@ -521,7 +473,7 @@ mod tests {
         // A fault at index 1 fires after the barrier, before the X.
         let plan: FaultPlan = [Fault::new(1, Qubit(0), Pauli::X)].into_iter().collect();
         let mut s = PathState::computational_basis(1);
-        run_with_faults(c.gates(), &mut s, &plan).unwrap();
+        run_with_faults(c.gates(), &mut s, &plan, 1).unwrap();
         // X fault + X gate = identity.
         assert!((s.fidelity(&PathState::computational_basis(1)) - 1.0).abs() < 1e-12);
     }
@@ -552,7 +504,7 @@ mod tests {
             Gate::swap(Qubit(3), Qubit(4)),
             Gate::x(Qubit(3)),
         ];
-        let plan: FaultPlan = [
+        let noisy: FaultPlan = [
             Fault::new(1, Qubit(2), Pauli::Y),
             Fault::new(3, Qubit(0), Pauli::Z),
             Fault::new(5, Qubit(4), Pauli::X),
@@ -560,15 +512,22 @@ mod tests {
         .into_iter()
         .collect();
         let input = PathState::uniform_over(5, &addr);
-        let mut serial = input.clone();
-        run_with_faults(&gates, &mut serial, &plan).unwrap();
-        for chunks in [1usize, 2, 3, 4, 7, 16] {
-            let mut chunked = input.clone();
-            run_with_faults_chunked(&gates, &mut chunked, &plan, chunks).unwrap();
-            // Bit-identical including slab order, not merely equal as sets.
-            let a: Vec<_> = chunked.iter().collect();
-            let b: Vec<_> = serial.iter().collect();
-            assert_eq!(a, b, "chunks={chunks}");
+        // The empty plan is the noiseless run, `run` its serial reference.
+        for plan in [FaultPlan::new(), noisy] {
+            let mut serial = input.clone();
+            if plan.is_empty() {
+                run(&gates, &mut serial).unwrap();
+            } else {
+                run_with_faults(&gates, &mut serial, &plan, 1).unwrap();
+            }
+            for chunks in [1usize, 2, 3, 4, 7, 16] {
+                let mut chunked = input.clone();
+                run_with_faults(&gates, &mut chunked, &plan, chunks).unwrap();
+                // Bit-identical including slab order, not merely equal as sets.
+                let a: Vec<_> = chunked.iter().collect();
+                let b: Vec<_> = serial.iter().collect();
+                assert_eq!(a, b, "faults={} chunks={chunks}", plan.len());
+            }
         }
     }
 
@@ -581,48 +540,68 @@ mod tests {
         let bad_gate = vec![Gate::x(Qubit(7))];
         let bad_fault_gates = vec![Gate::cx(Qubit(0), Qubit(1))];
         let bad_fault: FaultPlan = [Fault::new(1, Qubit(9), Pauli::X)].into_iter().collect();
-        let cases: Vec<(&[Gate], FaultPlan)> = vec![
-            (&h_gate, FaultPlan::new()),
-            (&bad_gate, FaultPlan::new()),
-            (&bad_fault_gates, bad_fault),
+        // A bad gate and a bad fault: whichever comes first in serial
+        // order is reported.
+        let fault_first: FaultPlan = [Fault::new(0, Qubit(8), Pauli::Z)].into_iter().collect();
+        let gate_first: FaultPlan = [Fault::new(1, Qubit(8), Pauli::Z)].into_iter().collect();
+        let h = SimError::NonReversibleGate { gate: "h" };
+        let out_of_range = |index| SimError::QubitOutOfRange {
+            index,
+            num_qubits: 3,
+        };
+        let cases: Vec<(&[Gate], FaultPlan, SimError)> = vec![
+            (&h_gate, FaultPlan::new(), h),
+            (&bad_gate, FaultPlan::new(), out_of_range(7)),
+            (&bad_fault_gates, bad_fault, out_of_range(9)),
+            (&bad_gate, fault_first, out_of_range(8)),
+            (&bad_gate, gate_first, out_of_range(7)),
         ];
-        for (gates, plan) in cases {
-            let mut serial = input.clone();
-            let serial_err = run_with_faults(gates, &mut serial, &plan).unwrap_err();
-            let mut chunked = input.clone();
-            let chunked_err = run_with_faults_chunked(gates, &mut chunked, &plan, 3).unwrap_err();
-            assert_eq!(serial_err, chunked_err);
+        for (gates, plan, want) in cases {
+            for chunks in [1usize, 3] {
+                let mut state = input.clone();
+                let err = run_with_faults(gates, &mut state, &plan, chunks).unwrap_err();
+                assert_eq!(err, want, "chunks={chunks}");
+            }
+        }
+    }
+
+    #[test]
+    fn failing_run_leaves_state_untouched() {
+        let input = PathState::uniform_over(3, &[Qubit(0), Qubit(1)]);
+        let gates = [Gate::cx(Qubit(0), Qubit(1)), Gate::H(Qubit(2))];
+        for chunks in [1usize, 3] {
+            let mut state = input.clone();
+            let err = run_with_faults(&gates, &mut state, &FaultPlan::new(), chunks).unwrap_err();
+            assert_eq!(err, SimError::NonReversibleGate { gate: "h" });
+            let after: Vec<_> = state.iter().collect();
+            let before: Vec<_> = input.iter().collect();
+            assert_eq!(after, before, "chunks={chunks}");
         }
     }
 
     #[test]
     fn faults_past_circuit_end_never_fire_nor_validate() {
         // A fault located beyond the final fire point (gate_index >
-        // gates.len()) is dead: the serial engine never validates it, so
-        // the chunked pre-validation must not either.
+        // gates.len()) is dead: it is never validated, on any chunk
+        // count and in the shot engine's per-shot check alike.
         let gates = [Gate::x(Qubit(0))];
         let plan: FaultPlan = [Fault::new(2, Qubit(40), Pauli::X)].into_iter().collect();
         let mut serial = PathState::computational_basis(1);
-        run_with_faults(&gates, &mut serial, &plan).unwrap();
-        let mut chunked = PathState::uniform_over(1, &[Qubit(0)]);
-        run_with_faults_chunked(&gates, &mut chunked, &plan, 2).unwrap();
-    }
-
-    #[test]
-    fn run_chunked_noiseless_matches_run() {
-        let addr = [Qubit(0), Qubit(1)];
-        let gates = [
-            Gate::cx(Qubit(0), Qubit(2)),
-            Gate::cswap(Qubit(1), Qubit(2), Qubit(3)),
-        ];
-        let input = PathState::uniform_over(4, &addr);
-        let mut serial = input.clone();
-        run(&gates, &mut serial).unwrap();
-        let mut chunked = input.clone();
-        run_chunked(&gates, &mut chunked, 4).unwrap();
-        let a: Vec<_> = chunked.iter().collect();
-        let b: Vec<_> = serial.iter().collect();
-        assert_eq!(a, b);
+        run_with_faults(&gates, &mut serial, &plan, 1).unwrap();
+        let input = PathState::uniform_over(1, &[Qubit(0)]);
+        run_with_faults(&gates, &mut input.clone(), &plan, 2).unwrap();
+        for threads in [1usize, 3] {
+            for path_chunks in [1usize, 2] {
+                let config = crate::ShotConfig::new(6)
+                    .with_threads(threads)
+                    .with_path_chunks(path_chunks);
+                let (est, _) =
+                    crate::run_shots_stats(&gates, &input, None, &config, &|_| plan.clone())
+                        .unwrap();
+                let at = format!("threads={threads} path_chunks={path_chunks}");
+                assert!((est.mean - 1.0).abs() < 1e-12, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //! * [`Amplitude`] — a complex amplitude.
 //! * [`PathState`] — a sparse superposition stored as a flat slab:
 //!   contiguous packed-bit and amplitude arrays, one entry per path.
-//! * [`run`] / [`run_with_faults`] — circuit execution with optional
-//!   Pauli fault injection at arbitrary circuit locations.
-//! * [`run_chunked`] / [`run_with_faults_chunked`] — the same execution
-//!   parallelized over disjoint path ranges of the slab, bit-identical
-//!   to the serial run for any chunk count.
-//! * [`monte_carlo_fidelity`] / [`run_shots`] — the paper's shot harness:
-//!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns, executed
-//!   on a sharded parallel engine whose estimates are bit-identical for
-//!   any `(threads, path_chunks)` pair ([`ShotConfig`]).
+//! * [`run`] — noiseless serial circuit execution.
+//! * [`run_with_faults`] — execution with Pauli fault injection at
+//!   arbitrary circuit locations, optionally parallelized over disjoint
+//!   path ranges of the slab; bit-identical for any chunk count. Every
+//!   run is validated before it touches the state.
+//! * [`run_shots_stats`] — the paper's shot harness: average
+//!   `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns (optionally on a
+//!   reduced register), executed on a sharded parallel engine whose
+//!   estimates and [`ShotStats`] are bit-identical for any
+//!   `(threads, path_chunks)` pair ([`ShotConfig`]).
 //!
 //! # Example
 //!
@@ -59,14 +60,9 @@ mod state;
 
 pub use amplitude::Amplitude;
 pub use bitstring::BitString;
-pub use engine::{run_shots, run_shots_recorded, run_shots_stats, ShotConfig, ShotStats};
-pub use executor::{
-    run, run_chunked, run_with_faults, run_with_faults_chunked, Fault, FaultPlan, Pauli,
-};
-pub use shots::{
-    monte_carlo_fidelity, monte_carlo_fidelity_with, monte_carlo_reduced_fidelity,
-    monte_carlo_reduced_fidelity_with, FidelityEstimate,
-};
+pub use engine::{run_shots_stats, ShotConfig, ShotStats};
+pub use executor::{run, run_with_faults, Fault, FaultPlan, Pauli};
+pub use shots::FidelityEstimate;
 pub use state::{PathBits, PathState};
 
 /// Errors produced by the path simulator.

@@ -1,14 +1,10 @@
-//! Monte-Carlo shot harness (paper Sec. 6.3).
+//! Monte-Carlo fidelity estimates (paper Sec. 6.3).
 //!
 //! One *shot* = one sampled Pauli fault pattern; the noisy circuit runs as
 //! a pure trajectory and its overlap with the ideal output is the shot's
 //! query fidelity `|⟨ψ_ideal|ψ_shot⟩|²`. Averaging over shots estimates the
 //! channel fidelity — exact in expectation for Pauli channels, which is why
 //! the paper's simulator can quote fidelities without density matrices.
-
-use qram_circuit::Gate;
-
-use crate::{run_shots, FaultPlan, PathState, ShotConfig, SimError};
 
 /// A Monte-Carlo fidelity estimate: mean over shots with a standard error.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,104 +52,10 @@ impl std::fmt::Display for FidelityEstimate {
     }
 }
 
-/// Estimates the query fidelity of `gates` on `input` under a noise process
-/// described by `sample_plan`, which is called once per shot with the shot
-/// index and must return that shot's fault pattern (a pure function of the
-/// index — samplers derive an independent RNG stream per shot).
-///
-/// The ideal output is computed once (fault-free run); each shot replays
-/// the circuit under its sampled plan and contributes
-/// `|⟨ψ_ideal|ψ_shot⟩|²`. Shots run on the sharded parallel engine with
-/// automatic thread count; results are bit-identical for any thread count
-/// (see [`run_shots`]). Use [`monte_carlo_fidelity_with`] to control the
-/// shot/thread configuration explicitly.
-///
-/// # Errors
-///
-/// Propagates the first simulation error from the ideal run or any shot.
-///
-/// ```
-/// use qram_circuit::{Circuit, Gate, Qubit};
-/// use qram_sim::{monte_carlo_fidelity, FaultPlan, PathState};
-///
-/// # fn main() -> Result<(), qram_sim::SimError> {
-/// let mut c = Circuit::new(2);
-/// c.push(Gate::cx(Qubit(0), Qubit(1)));
-/// let input = PathState::uniform_over(2, &[Qubit(0)]);
-/// // Noise-free sampler: fidelity is exactly 1.
-/// let est = monte_carlo_fidelity(c.gates(), &input, 16, |_| FaultPlan::new())?;
-/// assert!((est.mean - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn monte_carlo_fidelity(
-    gates: &[Gate],
-    input: &PathState,
-    shots: usize,
-    sample_plan: impl Fn(u64) -> FaultPlan + Sync,
-) -> Result<FidelityEstimate, SimError> {
-    run_shots(gates, input, None, &ShotConfig::new(shots), &sample_plan)
-}
-
-/// Like [`monte_carlo_fidelity`], but with an explicit [`ShotConfig`]
-/// controlling shot count and worker threads.
-///
-/// # Errors
-///
-/// Propagates the first simulation error from the ideal run or any shot.
-pub fn monte_carlo_fidelity_with(
-    gates: &[Gate],
-    input: &PathState,
-    config: &ShotConfig,
-    sample_plan: impl Fn(u64) -> FaultPlan + Sync,
-) -> Result<FidelityEstimate, SimError> {
-    run_shots(gates, input, None, config, &sample_plan)
-}
-
-/// Like [`monte_carlo_fidelity`], but each shot's fidelity is computed on
-/// the reduced state over `keep` (typically the address and bus registers),
-/// tracing out the QRAM tree — the fidelity notion under which
-/// bucket-brigade QRAM is resilient to generic noise.
-///
-/// # Errors
-///
-/// Propagates the first simulation error from the ideal run or any shot.
-pub fn monte_carlo_reduced_fidelity(
-    gates: &[Gate],
-    input: &PathState,
-    keep: &[qram_circuit::Qubit],
-    shots: usize,
-    sample_plan: impl Fn(u64) -> FaultPlan + Sync,
-) -> Result<FidelityEstimate, SimError> {
-    run_shots(
-        gates,
-        input,
-        Some(keep),
-        &ShotConfig::new(shots),
-        &sample_plan,
-    )
-}
-
-/// Like [`monte_carlo_reduced_fidelity`], but with an explicit
-/// [`ShotConfig`] controlling shot count and worker threads.
-///
-/// # Errors
-///
-/// Propagates the first simulation error from the ideal run or any shot.
-pub fn monte_carlo_reduced_fidelity_with(
-    gates: &[Gate],
-    input: &PathState,
-    keep: &[qram_circuit::Qubit],
-    config: &ShotConfig,
-    sample_plan: impl Fn(u64) -> FaultPlan + Sync,
-) -> Result<FidelityEstimate, SimError> {
-    run_shots(gates, input, Some(keep), config, &sample_plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fault, Pauli};
+    use crate::{run_shots_stats, Fault, FaultPlan, PathState, Pauli, ShotConfig};
     use qram_circuit::{Circuit, Qubit};
 
     #[test]
@@ -175,10 +77,9 @@ mod tests {
         // X on the single qubit of an empty circuit: ⟨0|1⟩ = 0.
         let c = Circuit::new(1);
         let input = PathState::computational_basis(1);
-        let est = monte_carlo_fidelity(c.gates(), &input, 8, |_| {
-            [Fault::new(0, Qubit(0), Pauli::X)].into_iter().collect()
-        })
-        .unwrap();
+        let plan = |_| [Fault::new(0, Qubit(0), Pauli::X)].into_iter().collect();
+        let (est, _) =
+            run_shots_stats(c.gates(), &input, None, &ShotConfig::new(8), &plan).unwrap();
         assert!(est.mean < 1e-12);
     }
 
@@ -186,14 +87,15 @@ mod tests {
     fn alternating_faults_average() {
         let c = Circuit::new(1);
         let input = PathState::computational_basis(1);
-        let est = monte_carlo_fidelity(c.gates(), &input, 10, |shot| {
-            if shot % 2 == 0 {
+        let plan = |shot: u64| {
+            if shot.is_multiple_of(2) {
                 FaultPlan::new()
             } else {
                 [Fault::new(0, Qubit(0), Pauli::X)].into_iter().collect()
             }
-        })
-        .unwrap();
+        };
+        let config = ShotConfig::new(10);
+        let (est, _) = run_shots_stats(c.gates(), &input, None, &config, &plan).unwrap();
         assert!((est.mean - 0.5).abs() < 1e-12);
     }
 

@@ -222,7 +222,7 @@ impl PathsMut<'_> {
 /// state) and `amps[i]` (its amplitude) — two contiguous slabs instead of
 /// per-path heap objects, so gate application streams linearly through
 /// memory and the slab can be split into disjoint per-chunk views for the
-/// path-parallel executor (`run_with_faults_chunked`).
+/// path-parallel executor (`run_with_faults`).
 ///
 /// Classical reversible gates permute basis states in place; Pauli `Z`
 /// errors flip amplitude signs; `X` errors flip bits. No operation in the

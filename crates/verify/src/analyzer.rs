@@ -345,7 +345,7 @@ fn push_write<'a>(stack: &mut Vec<&'a Gate>, gate: &'a Gate) {
 ///
 /// * **Leak** — writes must cancel in compute/uncompute pairs. All QRAM
 ///   gates are self-inverse, so uncomputation replays the computing
-///   gate; [`push_write`]'s commutation-aware LIFO reduction takes a
+///   gate; `push_write`'s commutation-aware LIFO reduction takes a
 ///   correctly uncomputed ancilla's write word to nothing, and a
 ///   non-empty residue at circuit end is a leak.
 /// * **Use after release** — a routing swap (Cswap) whose quantum

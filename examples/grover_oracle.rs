@@ -15,7 +15,7 @@
 
 use qram::core::{BucketBrigadeQram, Memory, QueryArchitecture, SelectSwapQram, VirtualQram};
 use qram::noise::{FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
-use qram::sim::{monte_carlo_reduced_fidelity, run};
+use qram::sim::{run, run_shots_stats, ShotConfig};
 
 fn main() {
     // A 64-item database with 3 marked items (the Grover targets).
@@ -58,12 +58,12 @@ fn main() {
         // How reliable is the oracle on 10⁻³-error hardware?
         let model = NoiseModel::per_gate(PauliChannel::depolarizing(BASE_ERROR_RATE));
         let sampler = FaultSampler::new(query.circuit(), model, 42);
-        let est = monte_carlo_reduced_fidelity(
+        let (est, _) = run_shots_stats(
             query.circuit().gates(),
             &input,
-            &query.output_qubits(),
-            200,
-            |shot| sampler.sample_shot(shot),
+            Some(&query.output_qubits()),
+            &ShotConfig::new(200),
+            &|shot| sampler.sample_shot(shot),
         )
         .expect("simulable");
 

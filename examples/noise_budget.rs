@@ -10,7 +10,7 @@
 use qram::core::{Memory, QueryArchitecture, VirtualQram};
 use qram::noise::{ErrorReductionFactor, FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
 use qram::qec::{balanced_code, virtual_z_fidelity_bound, TYPICAL_THRESHOLD};
-use qram::sim::monte_carlo_fidelity;
+use qram::sim::{run_shots_stats, ShotConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,9 +35,14 @@ fn main() {
     for er in ErrorReductionFactor::sweep(0, 3, 1) {
         let model = NoiseModel::per_gate(PauliChannel::phase_flip(BASE_ERROR_RATE)).reduced_by(er);
         let sampler = FaultSampler::new(query.circuit(), model, 5);
-        let est = monte_carlo_fidelity(query.circuit().gates(), &input, 400, |shot| {
-            sampler.sample_shot(shot)
-        })
+        let sample = |shot| sampler.sample_shot(shot);
+        let (est, _) = run_shots_stats(
+            query.circuit().gates(),
+            &input,
+            None,
+            &ShotConfig::new(400),
+            &sample,
+        )
         .expect("simulable");
         let bound = virtual_z_fidelity_bound(er.error_rate(), m, k);
         println!(

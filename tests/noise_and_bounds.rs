@@ -2,15 +2,33 @@
 //! bounds, and deterministic fault injection reproduces the error-
 //! propagation claims of Fig. 7.
 
+use qram::circuit::Gate;
 use qram::core::{Memory, QueryArchitecture, VirtualQram};
 use qram::noise::{FaultSampler, NoiseModel, PauliChannel};
 use qram::qec::{virtual_z_fidelity_bound, z_fidelity_bound};
-use qram::sim::{monte_carlo_fidelity, run, run_with_faults, Fault, FaultPlan, Pauli};
+use qram::sim::{
+    run, run_shots_stats, run_with_faults, Fault, FaultPlan, FidelityEstimate, PathState, Pauli,
+    ShotConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn memory(n: usize, seed: u64) -> Memory {
     Memory::random(n, &mut StdRng::seed_from_u64(seed))
+}
+
+/// Full-state Monte-Carlo fidelity of `gates` on `input` over `shots`
+/// shots sampled by `sampler`.
+fn fidelity(
+    gates: &[Gate],
+    input: &PathState,
+    shots: usize,
+    sampler: &FaultSampler,
+) -> FidelityEstimate {
+    let sample = |shot| sampler.sample_shot(shot);
+    run_shots_stats(gates, input, None, &ShotConfig::new(shots), &sample)
+        .unwrap()
+        .0
 }
 
 /// Eq. (3)-style check: per-qubit-once Z noise, measured fidelity must
@@ -23,10 +41,7 @@ fn z_fidelity_respects_eq3_bound() {
         let input = query.input_state(None);
         let model = NoiseModel::per_qubit_once(PauliChannel::phase_flip(eps));
         let sampler = FaultSampler::new(query.circuit(), model, 77);
-        let est = monte_carlo_fidelity(query.circuit().gates(), &input, 600, |shot| {
-            sampler.sample_shot(shot)
-        })
-        .unwrap();
+        let est = fidelity(query.circuit().gates(), &input, 600, &sampler);
         let bound = z_fidelity_bound(eps, m);
         assert!(
             est.mean >= bound - 3.0 * est.std_error,
@@ -46,10 +61,7 @@ fn virtual_z_bound_holds_across_shapes() {
         let input = query.input_state(None);
         let model = NoiseModel::per_qubit_once(PauliChannel::phase_flip(eps));
         let sampler = FaultSampler::new(query.circuit(), model, 78);
-        let est = monte_carlo_fidelity(query.circuit().gates(), &input, 600, |shot| {
-            sampler.sample_shot(shot)
-        })
-        .unwrap();
+        let est = fidelity(query.circuit().gates(), &input, 600, &sampler);
         let bound = virtual_z_fidelity_bound(eps, m, k);
         assert!(
             est.mean >= bound - 3.0 * est.std_error,
@@ -87,14 +99,14 @@ fn z_fault_on_router_corrupts_only_its_subtree() {
         .into_iter()
         .collect();
     let mut noisy = input.clone();
-    run_with_faults(query.circuit().gates(), &mut noisy, &plan).unwrap();
+    run_with_faults(query.circuit().gates(), &mut noisy, &plan, 1).unwrap();
 
     // Branch-by-branch: overlap per address must be exactly ±1, and
     // every right-half address (not through heap 2) must be untouched.
     let addr_qs: Vec<_> = query.address().iter().collect();
     let n_qubits = query.num_qubits();
     for address in 0..(1u64 << m) {
-        let mut branch_in = qram::sim::PathState::computational_basis(n_qubits);
+        let mut branch_in = PathState::computational_basis(n_qubits);
         for (i, q) in addr_qs.iter().enumerate() {
             if (address >> (m - 1 - i)) & 1 == 1 {
                 branch_in.apply_x(*q);
@@ -103,7 +115,7 @@ fn z_fault_on_router_corrupts_only_its_subtree() {
         let mut branch_ideal = branch_in.clone();
         run(query.circuit().gates(), &mut branch_ideal).unwrap();
         let mut branch_noisy = branch_in.clone();
-        run_with_faults(query.circuit().gates(), &mut branch_noisy, &plan).unwrap();
+        run_with_faults(query.circuit().gates(), &mut branch_noisy, &plan, 1).unwrap();
         let overlap = branch_ideal.fidelity(&branch_noisy);
         if address >= (1 << (m - 1)) {
             // Right subtree: router heap 2 is not on the path; Z there is
@@ -148,7 +160,7 @@ fn x_fault_on_rail_is_fatal_for_full_state_fidelity() {
     .into_iter()
     .collect();
     let mut noisy = input.clone();
-    run_with_faults(query.circuit().gates(), &mut noisy, &plan).unwrap();
+    run_with_faults(query.circuit().gates(), &mut noisy, &plan, 1).unwrap();
     assert!(
         ideal.fidelity(&noisy) < 0.6,
         "X mid-circuit should not be survivable at full-state fidelity"
@@ -171,11 +183,7 @@ fn phase_noise_beats_bit_noise_at_equal_strength() {
     {
         let model = NoiseModel::per_gate(channel);
         let sampler = FaultSampler::new(query.circuit(), model, 123);
-        fid[i] = monte_carlo_fidelity(query.circuit().gates(), &input, 400, |shot| {
-            sampler.sample_shot(shot)
-        })
-        .unwrap()
-        .mean;
+        fid[i] = fidelity(query.circuit().gates(), &input, 400, &sampler).mean;
     }
     assert!(
         fid[0] > fid[1] + 0.02,
@@ -197,10 +205,7 @@ fn fidelity_is_monotone_in_error_reduction() {
     for er in [1.0, 10.0, 100.0] {
         let model = base.reduced_by(ErrorReductionFactor(er));
         let sampler = FaultSampler::new(query.circuit(), model, 321);
-        let est = monte_carlo_fidelity(query.circuit().gates(), &input, 500, |shot| {
-            sampler.sample_shot(shot)
-        })
-        .unwrap();
+        let est = fidelity(query.circuit().gates(), &input, 500, &sampler);
         assert!(
             est.mean >= last - 0.02,
             "fidelity not monotone: {} after {last} at εr={er}",
@@ -256,7 +261,7 @@ fn fanout_router_faults_dephase_globally_bb_faults_locally() {
                 .into_iter()
                 .collect();
             let mut noisy = input.clone();
-            run_with_faults(query.circuit().gates(), &mut noisy, &plan).unwrap();
+            run_with_faults(query.circuit().gates(), &mut noisy, &plan, 1).unwrap();
             let fidelity = ideal.fidelity(&noisy);
             assert!(
                 (fidelity - expected).abs() < 1e-9,

@@ -193,7 +193,7 @@ proptest! {
 mod slab_equivalence {
     use super::*;
     use qram::circuit::Control;
-    use qram::sim::{run_with_faults, run_with_faults_chunked, Amplitude, Fault, FaultPlan, Pauli};
+    use qram::sim::{run_with_faults, Amplitude, Fault, FaultPlan, Pauli};
     use std::collections::BTreeMap;
 
     /// The reference model: an ordered map from bit vectors to amplitudes,
@@ -327,13 +327,12 @@ mod slab_equivalence {
             ref_run(circuit.gates(), &plan, &mut reference);
 
             let mut serial = input.clone();
-            run_with_faults(circuit.gates(), &mut serial, &fault_plan).unwrap();
+            run_with_faults(circuit.gates(), &mut serial, &fault_plan, 1).unwrap();
             assert_exact_match(&serial, &reference);
 
             for chunks in [2usize, 3, 5, 16] {
                 let mut chunked = input.clone();
-                run_with_faults_chunked(circuit.gates(), &mut chunked, &fault_plan, chunks)
-                    .unwrap();
+                run_with_faults(circuit.gates(), &mut chunked, &fault_plan, chunks).unwrap();
                 // Chunking must preserve slab order too, not just the set.
                 let a: Vec<_> = chunked.iter().collect();
                 let b: Vec<_> = serial.iter().collect();
