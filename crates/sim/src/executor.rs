@@ -605,6 +605,24 @@ mod tests {
     }
 
     #[test]
+    fn run_chunked_noiseless_matches_run() {
+        let addr = [Qubit(0), Qubit(1)];
+        let gates = [
+            Gate::cx(Qubit(0), Qubit(2)),
+            Gate::cswap(Qubit(1), Qubit(2), Qubit(3)),
+        ];
+        let input = PathState::uniform_over(4, &addr);
+        let mut serial = input.clone();
+        run(&gates, &mut serial).unwrap();
+        // A chunked run with the empty plan is the noiseless chunked run.
+        let mut chunked = input.clone();
+        run_with_faults(&gates, &mut chunked, &FaultPlan::new(), 4).unwrap();
+        let a: Vec<_> = chunked.iter().collect();
+        let b: Vec<_> = serial.iter().collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn uncompute_by_inversion_restores_input() {
         let mut c = Circuit::new(4);
         c.push(Gate::cx(Qubit(0), Qubit(2)));
