@@ -18,9 +18,11 @@
 //! `--load` multiplier (a closed run is a single point that admits
 //! every request through `submit` and finishes with `drain`). One
 //! summary writer emits the shared header fields, then each mode's own
-//! sections. Batch reports are taken after every admission call, so the
-//! `per_arch` batch counts are complete; the run fails unless they sum
-//! to `telemetry.batches_fired`.
+//! sections. Batch counts come off each point's span logs: every fired
+//! batch records exactly one `Compile` span, whose group names the spec
+//! and whose width is the compile charge (above 0 on a cache miss). The
+//! run fails unless the `per_arch` counts sum to
+//! `telemetry.batches_fired`.
 //!
 //! Flags (shared flags match the other experiment binaries):
 //!
@@ -126,11 +128,10 @@ use qram_fleet::{
 };
 use qram_plan::{planned_families, UNLIMITED_BUDGET};
 use qram_service::{
-    assign_specs_with, Admission, ArrivalProcess, BatchReport, CacheStats, QramService,
-    QueryResult, QuerySpec, ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks,
-    Workload,
+    assign_specs_with, Admission, ArrivalProcess, CacheStats, QramService, QueryResult, QuerySpec,
+    ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks, Workload,
 };
-use qram_telemetry::{fnv1a_64, host_wall, key, MetricsRegistry, TelemetryRecorder};
+use qram_telemetry::{fnv1a_64, host_wall, key, MetricsRegistry, SpanStage, TelemetryRecorder};
 
 struct Args {
     full: bool,
@@ -533,13 +534,6 @@ impl Target {
         }
     }
 
-    fn take_batch_reports(&mut self) -> Vec<BatchReport> {
-        match self {
-            Target::Service(service) => service.take_batch_reports(),
-            Target::Fleet(fleet) => fleet.take_batch_reports(),
-        }
-    }
-
     /// The recorder a trace section exports: the service's own, or the
     /// fleet front door's.
     fn recorder(&self) -> &TelemetryRecorder {
@@ -613,9 +607,6 @@ struct PointRun {
     /// Results in the mode's order: request-id order from a closed
     /// `drain`, completion order from an open run.
     results: Vec<FleetResult>,
-    /// Every batch the point fired, taken after each admission call so
-    /// the service's bounded report buffer never drops one.
-    batches: Vec<BatchReport>,
     /// The condensed point (a closed point has load 0 and its whole
     /// workload arriving at t = 0).
     point: ServeLoadPoint,
@@ -631,6 +622,20 @@ impl PointRun {
             Target::Service(_) => results_digest(self.results.iter().map(|r| &r.result)),
             Target::Fleet(_) => fleet_results_digest(&self.results),
         }
+    }
+
+    /// Every batch the point fired, as `(spec group, compile ticks)`,
+    /// read off the shards' span logs: each fire records exactly one
+    /// `Compile` span, spanning the compile charge (0 on a cache hit).
+    fn batches(&self) -> impl Iterator<Item = (&str, Ticks)> {
+        self.target
+            .shards()
+            .iter()
+            .flat_map(|shard| shard.recorder().tracer().events())
+            .filter_map(|span| match &span.stage {
+                SpanStage::Compile { group, .. } => Some((group.as_str(), span.end - span.start)),
+                _ => None,
+            })
     }
 }
 
@@ -669,7 +674,6 @@ fn run_point(
     let submissions = assign_specs_with(sweep.workload, sweep.specs, mix, sweep.requests);
 
     let start = host_wall();
-    let mut batches = Vec::new();
     for (i, &(address, spec)) in submissions.iter().enumerate() {
         match (&mut target, arrivals.get(i)) {
             (Target::Service(service), None) => {
@@ -687,7 +691,6 @@ fn run_point(
                 fleet.submit_at(address, spec, arrival, tenant, slo);
             }
         }
-        batches.extend(target.take_batch_reports());
     }
     let bare = |result: QueryResult| FleetResult {
         seq: result.id,
@@ -700,7 +703,6 @@ fn run_point(
     let (results, workers): (Vec<FleetResult>, usize) = match &mut target {
         Target::Service(service) if load.is_none() => {
             let report = service.drain();
-            batches.extend(report.batches);
             let results = report.results.into_iter().map(bare).collect();
             (results, report.workers)
         }
@@ -708,10 +710,6 @@ fn run_point(
         Target::Fleet(fleet) => (fleet.run_until_idle(), 0),
     };
     let wall = start.elapsed();
-    batches.extend(target.take_batch_reports());
-    for shard in target.shards() {
-        assert_eq!(shard.batch_reports_dropped(), 0, "batch reports dropped");
-    }
 
     let first_arrival = arrivals.first().copied().unwrap_or(0);
     let last_completed = results.iter().map(|r| r.result.completed).max();
@@ -740,7 +738,6 @@ fn run_point(
         label: load.map_or_else(|| "closed".into(), |load| format!("load={load:.2}")),
         target,
         results,
-        batches,
         point,
         workers,
         wall,
@@ -748,15 +745,32 @@ fn run_point(
 }
 
 /// Slices a sweep per architecture family: requests, throughput and
-/// latency from the results, batch-level cache behavior from the batch
-/// reports (a batch that charged compile ticks was a cache miss).
+/// latency from the results, batch-level cache behavior from the span
+/// logs (a batch that charged compile ticks was a cache miss). `specs`
+/// maps each span's spec group to its family.
 ///
 /// Each point is an independent run with its own virtual clock, so
 /// throughput sums each point's span rather than overlapping their
 /// clocks — the union's `max(completed) − min(arrival)` would divide
 /// every point's requests by roughly one point's window and report
 /// impossible rates.
-fn arch_breakdown(runs: &[PointRun]) -> Vec<ServeArchPoint> {
+fn arch_breakdown(runs: &[PointRun], specs: &[QuerySpec]) -> Vec<ServeArchPoint> {
+    let groups: Vec<(String, &'static str)> = specs
+        .iter()
+        .map(|s| (s.arch.to_string(), s.arch.family()))
+        .collect();
+    // (batches, compiled) per family, over every point.
+    let mut fired: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
+    for (group, compile) in runs.iter().flat_map(PointRun::batches) {
+        let family = groups
+            .iter()
+            .find(|(name, _)| name == group)
+            .unwrap_or_else(|| panic!("batch fired for unserved spec {group}"))
+            .1;
+        let entry = fired.entry(family).or_default();
+        entry.0 += 1;
+        entry.1 += usize::from(compile > 0);
+    }
     let mut families: Vec<&'static str> = Vec::new();
     for r in runs.iter().flat_map(|run| &run.results) {
         let family = r.result.spec.arch.family();
@@ -770,7 +784,6 @@ fn arch_breakdown(runs: &[PointRun]) -> Vec<ServeArchPoint> {
             let mut span = 0u64;
             let mut totals: Vec<f64> = Vec::new();
             let mut executes: Vec<f64> = Vec::new();
-            let (mut batches, mut compiled) = (0, 0);
             for run in runs {
                 let slice: Vec<&QueryResult> = run
                     .results
@@ -785,15 +798,8 @@ fn arch_breakdown(runs: &[PointRun]) -> Vec<ServeArchPoint> {
                 }
                 totals.extend(slice.iter().map(|r| r.latency.total() as f64));
                 executes.extend(slice.iter().map(|r| r.latency.execute as f64));
-                for b in run
-                    .batches
-                    .iter()
-                    .filter(|b| b.spec.arch.family() == family)
-                {
-                    batches += 1;
-                    compiled += usize::from(b.compile > 0);
-                }
             }
+            let (batches, compiled) = fired.get(family).copied().unwrap_or_default();
             ServeArchPoint {
                 arch: family.into(),
                 requests: totals.len(),
@@ -999,7 +1005,7 @@ fn main() {
             ),
         ),
     };
-    let per_arch = arch_breakdown(&runs);
+    let per_arch = arch_breakdown(&runs, &specs);
     let arch_batches: usize = per_arch.iter().map(|a| a.batches).sum();
     assert_eq!(
         arch_batches as u64,
@@ -1022,7 +1028,7 @@ fn main() {
     if closed {
         fields.extend(fields![
             "requests" => runs[0].results.len(),
-            "batches" => runs[0].batches.len(),
+            "batches" => runs[0].batches().count(),
         ]);
     } else {
         fields.extend(fields!["requests_per_point" => requests]);
@@ -1114,7 +1120,7 @@ fn closed_sections(
     let rows = fields![
         "metric" => "value",
         "requests" => count,
-        "batches" => run.batches.len(),
+        "batches" => run.batches().count(),
         "release_policy" => release_policy(args).label(),
         "virtual_rps" => format!("{:.1}", point.achieved_rps),
         "wall_rps" => format!("{wall_rps:.1}"),

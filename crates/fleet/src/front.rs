@@ -3,8 +3,8 @@
 //! A bare [`qram_service::QramService`] has a single global bounded
 //! admission queue: under overload the newest arrival is dropped,
 //! whatever its class. The fleet front door replaces that with
-//! per-tenant FIFO sub-queues drained by deterministic weighted
-//! round-robin (see [`crate::FleetController`]), and an overflow policy
+//! per-tenant FIFO sub-queues drained by deterministic round-robin
+//! (see [`crate::FleetController`]), and an overflow policy
 //! that can pick its victim by *retention value* instead of arrival
 //! order: [`ShedPolicy::DeadlinePriority`] first trims zombies whose
 //! deadline has already passed, then drops batch work, then

@@ -2,11 +2,12 @@
 //! tenants, SLO classes, and deterministic routing.
 //!
 //! A [`FleetController`] owns N independent [`QramService`] shards —
-//! each with its own device profile, compile cache, and cost
-//! calibration — behind a single front door. Requests arrive tagged
-//! with a [`TenantId`] and an [`SloClass`]; the front door parks them
-//! in per-tenant sub-queues, drains them by deterministic weighted
-//! round-robin, and places each on a shard via the consistent-hash
+//! each running the same base configuration under its own seed, with
+//! its own compile cache and virtual clock — behind a single front
+//! door. Requests arrive tagged with a [`TenantId`] and an
+//! [`SloClass`]; the front door parks them in per-tenant sub-queues,
+//! drains them by deterministic round-robin (one head per tenant per
+//! round), and places each on a shard via the consistent-hash
 //! [`Router`] (planner pins + rendezvous replicas + cache-affine
 //! tie-breaking). When the door overflows, the [`ShedPolicy`] picks
 //! the victim — tail-drop or SLO-aware deadline priority.
@@ -26,6 +27,10 @@
 //! A single-shard fleet with an unbounded front door degenerates to
 //! the bare service: same admissions at the same instants, same
 //! results, same trace.
+//!
+//! Each shard's span log is the record of the batches it fired (one
+//! `BatchForm` and one `Compile` span per batch; see
+//! [`FleetController::shards`] and [`QramService::recorder`]).
 
 mod front;
 mod router;
@@ -38,8 +43,7 @@ pub use router::{RouteDecision, Router};
 use front::FrontDoor;
 use qram_core::Memory;
 use qram_service::{
-    Admission, BatchReport, QramService, QueryResult, QuerySpec, ServiceConfig, SloClass, TenantId,
-    Ticks,
+    Admission, QramService, QueryResult, QuerySpec, ServiceConfig, SloClass, TenantId, Ticks,
 };
 use qram_telemetry::{
     fnv1a_64, key, AdmissionOutcome, MetricsRegistry, NoopRecorder, Recorder, SpanEvent, SpanStage,
@@ -65,13 +69,9 @@ pub struct FleetConfig {
     /// Number of shards.
     pub shards: usize,
     /// Base per-shard service configuration; shard `i` runs it with
-    /// `seed + i` unless overridden (shard 0 keeps the base verbatim,
-    /// so a 1-shard fleet matches a bare service bit-for-bit).
+    /// `seed + i` (shard 0 keeps the base verbatim, so a 1-shard fleet
+    /// matches a bare service bit-for-bit).
     pub shard_base: ServiceConfig,
-    /// Explicit per-shard configurations for heterogeneous fleets;
-    /// entry `i` (when present) replaces the derived config of shard
-    /// `i`.
-    pub shard_overrides: Vec<ServiceConfig>,
     /// Requests the front door may hold beyond what shards have
     /// absorbed; an arrival that would exceed this triggers the shed
     /// policy. `0` means never park more than the overflow arrival
@@ -88,9 +88,6 @@ pub struct FleetConfig {
     pub qubit_budget: usize,
     /// Iteration order over same-instant shards (output-invisible).
     pub poll_order: ShardPollOrder,
-    /// Weighted-round-robin credits per tenant per round; tenants
-    /// absent here get weight 1.
-    pub tenant_weights: Vec<(TenantId, u32)>,
 }
 
 impl Default for FleetConfig {
@@ -98,14 +95,12 @@ impl Default for FleetConfig {
         FleetConfig {
             shards: 1,
             shard_base: ServiceConfig::default(),
-            shard_overrides: Vec::new(),
             front_capacity: 1024,
             shed_policy: ShedPolicy::default(),
             replication: 2,
             pin_planned: false,
             qubit_budget: qram_plan::UNLIMITED_BUDGET,
             poll_order: ShardPollOrder::default(),
-            tenant_weights: Vec::new(),
         }
     }
 }
@@ -154,30 +149,9 @@ impl FleetConfig {
         self
     }
 
-    /// Sets `tenant`'s weighted-round-robin credits per round.
-    pub fn with_tenant_weight(mut self, tenant: TenantId, weight: u32) -> Self {
-        self.tenant_weights.retain(|(t, _)| *t != tenant);
-        self.tenant_weights.push((tenant, weight));
-        self
-    }
-
-    /// WRR credits for `tenant` (1 when unconfigured; a configured 0
-    /// is clamped to 1 so no tenant starves).
-    pub fn weight(&self, tenant: TenantId) -> u32 {
-        self.tenant_weights
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, w)| (*w).max(1))
-            .unwrap_or(1)
-    }
-
-    /// The effective service configuration of shard `sid`: the
-    /// explicit override when present, else the base re-seeded with
-    /// `seed + sid` (shard 0 keeps the base seed).
+    /// The service configuration of shard `sid`: the base re-seeded
+    /// with `seed + sid` (shard 0 keeps the base seed).
     pub fn shard_config(&self, sid: usize) -> ServiceConfig {
-        if let Some(cfg) = self.shard_overrides.get(sid) {
-            return *cfg;
-        }
         self.shard_base.with_seed(self.shard_base.seed + sid as u64)
     }
 }
@@ -545,17 +519,6 @@ impl<R: Recorder> FleetController<R> {
         std::mem::take(&mut self.completed)
     }
 
-    /// Takes every shard's batch reports (see
-    /// [`QramService::take_batch_reports`]), concatenated in shard
-    /// order. Each shard's report buffer is capped, so take them
-    /// after every [`submit_at`](Self::submit_at) under heavy traffic.
-    pub fn take_batch_reports(&mut self) -> Vec<BatchReport> {
-        self.shards
-            .iter_mut()
-            .flat_map(QramService::take_batch_reports)
-            .collect()
-    }
-
     /// The earliest pending event instant across all shards, filtered
     /// to `bound` when given.
     fn next_tick(&self, bound: Option<Ticks>) -> Option<Ticks> {
@@ -591,26 +554,23 @@ impl<R: Recorder> FleetController<R> {
         self.dispatch();
     }
 
-    /// Weighted-round-robin drain of the front door: each round visits
-    /// non-empty tenants in ascending id order, forwarding up to the
-    /// tenant's weight in consecutive head requests; rounds repeat
-    /// until one dispatches nothing (every head is routed to a full
-    /// shard, or the door is empty).
+    /// Round-robin drain of the front door: each round visits
+    /// non-empty tenants in ascending id order, forwarding each one's
+    /// head request; rounds repeat until one dispatches nothing (every
+    /// head is routed to a full shard, or the door is empty).
     fn dispatch(&mut self) {
         loop {
             let mut dispatched_this_round = false;
             for tenant in self.front.tenants() {
-                for _ in 0..self.config.weight(tenant) {
-                    let Some(head) = self.front.head(tenant) else {
-                        break;
-                    };
-                    let Some(decision) = self.router.route(&head.spec, &self.shards) else {
-                        break;
-                    };
-                    let pending = self.front.pop(tenant).expect("head exists");
-                    self.forward(pending, decision);
-                    dispatched_this_round = true;
-                }
+                let Some(head) = self.front.head(tenant) else {
+                    continue;
+                };
+                let Some(decision) = self.router.route(&head.spec, &self.shards) else {
+                    continue;
+                };
+                let pending = self.front.pop(tenant).expect("head exists");
+                self.forward(pending, decision);
+                dispatched_this_round = true;
             }
             if !dispatched_this_round {
                 return;
@@ -758,43 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_concatenate_in_shard_order_and_cover_every_fire() {
-        let mut fleet = FleetController::new(memory(3), base_config(3).with_replication(1));
-        let specs = qram_service::mixed_arch_specs(3);
-        for i in 0..60u64 {
-            let spec = specs[(i % specs.len() as u64) as usize];
-            fleet.submit_at(i % 8, spec, i * 200, TenantId(0), SloClass::Batch);
-        }
-        let results = fleet.run_until_idle();
-        let fired: Vec<u64> = fleet
-            .shards()
-            .iter()
-            .map(|s| s.metrics_snapshot().counter(key::BATCHES_FIRED))
-            .collect();
-        assert!(
-            fired.iter().filter(|&&n| n > 0).count() > 1,
-            "traffic spans shards"
-        );
-        // Replication 1 serves each spec on one shard, so a report's
-        // spec names the shard it came from.
-        let shard_of = |spec: QuerySpec| {
-            results
-                .iter()
-                .find(|r| r.result.spec == spec)
-                .unwrap()
-                .shard
-        };
-        let reports = fleet.take_batch_reports();
-        assert_eq!(reports.len() as u64, fired.iter().sum::<u64>());
-        let order: Vec<usize> = reports.iter().map(|b| shard_of(b.spec)).collect();
-        assert!(
-            order.windows(2).all(|w| w[0] <= w[1]),
-            "shard order: {order:?}"
-        );
-        assert!(fleet.take_batch_reports().is_empty(), "taking clears");
-    }
-
-    #[test]
     fn tenant_assignment_is_deterministic_across_poll_orders() {
         let specs = qram_service::mixed_arch_specs(3);
         let run = |order: ShardPollOrder| {
@@ -827,7 +750,7 @@ mod tests {
     #[test]
     fn equal_weight_tenants_complete_within_one_round_of_each_other() {
         // Saturate a tiny fleet so the front door arbitrates, then
-        // check WRR kept equal-weight tenants balanced.
+        // check round-robin kept the tenants balanced.
         let config = base_config(1)
             .with_shard_base(
                 ServiceConfig::default()

@@ -56,7 +56,10 @@
 //!   and a work-stealing per-request executor dispatching onto the
 //!   sharded shot engine ([`qram_sim::run_shots_stats`]) with deterministic
 //!   per-request seeds — results are **bit-identical for any worker
-//!   count**, latency breakdowns included;
+//!   count**, latency breakdowns included. Each fired batch is recorded
+//!   once, in the telemetry span log: one `BatchForm` span (spec group,
+//!   fire instant, size) and one `Compile` span whose width is the
+//!   compile charge (0 on a cache hit);
 //! * [`Workload`] / [`ArrivalProcess`] / [`SpecMix`] / [`ClosedLoop`] —
 //!   deterministic traffic generators: address patterns (uniform,
 //!   zipfian, scan, Grover), open-loop arrival processes (Poisson,
@@ -109,7 +112,7 @@ pub use request::{
     Latency, QueryRequest, QueryResult, QuerySpec, SloClass, SpecOverrideError, TenantId,
 };
 pub use scheduler::{DeadlineBatcher, QueryBatch, ReleasePolicy};
-pub use service::{BatchReport, QramService, ServiceConfig, ServiceReport};
+pub use service::{QramService, ServiceConfig, ServiceReport};
 pub use workload::{
     assign_specs, assign_specs_with, mixed_arch_specs, ArrivalProcess, ClosedLoop, SpecMix,
     Workload,

@@ -247,30 +247,17 @@ impl ServiceConfig {
     }
 }
 
-/// Virtual-clock accounting of one fired batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchReport {
-    /// The batch's compilation profile.
-    pub spec: QuerySpec,
-    /// Requests served by the batch.
-    pub requests: usize,
-    /// The instant the batch fired (batch limit reached or deadline
-    /// slack exhausted).
-    pub fired_at: Ticks,
-    /// Virtual compile time charged to the batch (0 on a cache hit).
-    pub compile: Ticks,
-    /// The instant the batch's last member finished executing.
-    pub completed: Ticks,
-}
-
 /// Everything one [`QramService::drain`] produced.
+///
+/// Per-batch accounting is not part of the report: every fired batch
+/// records one [`SpanStage::BatchForm`] and one [`SpanStage::Compile`]
+/// span (spec group, fire instant, size, compile ticks) into a
+/// [`TelemetryRecorder`](qram_telemetry::TelemetryRecorder), and the
+/// always-on `service.batches_fired` counter counts them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// One result per returned request, in admission (id) order.
     pub results: Vec<QueryResult>,
-    /// Per-batch accounting of every batch fired since the previous
-    /// report, in firing order.
-    pub batches: Vec<BatchReport>,
     /// Lifetime circuit-cache counters after this drain.
     pub cache: CacheStats,
     /// Lifetime admission counters after this drain.
@@ -378,9 +365,7 @@ pub struct QramService<R: Recorder = NoopRecorder> {
     next_id: u64,
     served: u64,
     /// Always-on service counters (`admission.*`, `service.*`): the
-    /// source of truth behind the [`AdmissionStats`] and
-    /// [`batch_reports_dropped`](QramService::batch_reports_dropped)
-    /// accessor shims.
+    /// source of truth behind the [`AdmissionStats`] accessor shim.
     metrics: MetricsRegistry,
     /// The optional telemetry sink: spans and stage histograms go here.
     /// The [`NoopRecorder`] default monomorphizes every call to an
@@ -390,17 +375,7 @@ pub struct QramService<R: Recorder = NoopRecorder> {
     in_flight: BinaryHeap<InFlight>,
     /// Virtually completed results awaiting the next poll/drain.
     ready: VecDeque<QueryResult>,
-    /// Batches fired since they were last taken (by
-    /// [`drain`](QramService::drain) or
-    /// [`take_batch_reports`](QramService::take_batch_reports)), FIFO,
-    /// capped at [`MAX_BATCH_REPORTS`] so a poll-only open-loop client
-    /// that never takes them cannot grow the service unboundedly.
-    fired_reports: VecDeque<BatchReport>,
 }
-
-/// Retained [`BatchReport`]s before the oldest are dropped (see
-/// [`QramService::take_batch_reports`]).
-pub const MAX_BATCH_REPORTS: usize = 4096;
 
 impl QramService {
     /// A service over `memory` with the given tunables and no telemetry
@@ -442,7 +417,6 @@ impl<R: Recorder> QramService<R> {
             recorder,
             in_flight: BinaryHeap::new(),
             ready: VecDeque::new(),
-            fired_reports: VecDeque::new(),
         }
     }
 
@@ -501,23 +475,6 @@ impl<R: Recorder> QramService<R> {
     /// keys of the always-on metrics registry.
     pub fn admission_stats(&self) -> AdmissionStats {
         AdmissionStats::from_metrics(&self.metrics)
-    }
-
-    /// Takes the accounting of every batch fired since the last
-    /// [`drain`](QramService::drain) or call to this method, in firing
-    /// order — the open-loop counterpart of [`ServiceReport::batches`].
-    ///
-    /// At most `MAX_BATCH_REPORTS` (4096) are retained between takes; check
-    /// [`batch_reports_dropped`](QramService::batch_reports_dropped)
-    /// when harvesting infrequently under heavy traffic.
-    pub fn take_batch_reports(&mut self) -> Vec<BatchReport> {
-        self.fired_reports.drain(..).collect()
-    }
-
-    /// Batch reports dropped (oldest first) because more than
-    /// `MAX_BATCH_REPORTS` (4096) accumulated between takes.
-    pub fn batch_reports_dropped(&self) -> u64 {
-        self.metrics.counter(key::BATCH_REPORTS_DROPPED)
     }
 
     /// The earliest instant a [`poll`](QramService::poll) returns a new
@@ -740,9 +697,9 @@ impl<R: Recorder> QramService<R> {
 
     /// Serves everything still in the pipeline and reports: fires all
     /// pending batches (deadlines waived), runs the clock to idle, and
-    /// returns every unreturned result in admission order together with
-    /// per-batch accounting — the closed-loop counterpart of
-    /// [`poll`](QramService::poll).
+    /// returns every unreturned result in admission order with the
+    /// lifetime cache and admission counters — the closed-loop
+    /// counterpart of [`poll`](QramService::poll).
     pub fn drain(&mut self) -> ServiceReport {
         let batches = self.batcher.flush();
         self.fire_batches(batches, self.now, FireReason::Drain);
@@ -752,7 +709,6 @@ impl<R: Recorder> QramService<R> {
         ServiceReport {
             workers: self.config.resolved_workers(results.len()),
             results,
-            batches: self.take_batch_reports(),
             cache: self.cache.stats(),
             admission: self.admission_stats(),
         }
@@ -946,8 +902,6 @@ impl<R: Recorder> QramService<R> {
                     ))
                 }))
             });
-            let requests = batch.requests.len();
-            let mut batch_completed = ready_at;
             for request in batch.requests {
                 let (unit, start, end) = self.timeline.assign_slot(ready_at, execute);
                 // start ≥ ready_at = fire_time + compile ≥ arrival + compile,
@@ -957,7 +911,6 @@ impl<R: Recorder> QramService<R> {
                     compile,
                     execute,
                 };
-                batch_completed = batch_completed.max(end);
                 if let Some(group) = &group {
                     self.recorder.span(SpanEvent {
                         request: request.id,
@@ -991,17 +944,6 @@ impl<R: Recorder> QramService<R> {
                     completed: end,
                 });
             }
-            self.fired_reports.push_back(BatchReport {
-                spec,
-                requests,
-                fired_at: fire_time,
-                compile,
-                completed: batch_completed,
-            });
-            if self.fired_reports.len() > MAX_BATCH_REPORTS {
-                self.fired_reports.pop_front();
-                self.metrics.add(key::BATCH_REPORTS_DROPPED, 1);
-            }
         }
         let workers = self.config.resolved_workers(prepared.len());
         let mut sim_stats = ShotStats::default();
@@ -1019,6 +961,7 @@ impl<R: Recorder> QramService<R> {
 mod tests {
     use super::*;
     use qram_noise::derive_stream_seed;
+    use qram_telemetry::TelemetryRecorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1031,6 +974,50 @@ mod tests {
             .with_shots(0)
             .with_workers(1)
             .with_cache_capacity(4)
+    }
+
+    fn traced(memory: Memory, config: ServiceConfig) -> QramService<TelemetryRecorder> {
+        QramService::with_recorder(memory, config, TelemetryRecorder::new())
+    }
+
+    /// One fired batch as its spans record it.
+    #[derive(Debug, PartialEq)]
+    struct Fired {
+        group: String,
+        at: Ticks,
+        size: u64,
+        compile: Ticks,
+    }
+
+    /// Every batch `service` fired, in firing order, read off its span
+    /// log: each fire appends one `BatchForm` then one `Compile` span.
+    fn fired(service: &QramService<TelemetryRecorder>) -> Vec<Fired> {
+        let events = service.recorder().tracer().events();
+        let forms = events.iter().filter_map(|e| match &e.stage {
+            SpanStage::BatchForm { group, size, .. } => Some((group.clone(), e.start, *size)),
+            _ => None,
+        });
+        let compiles = events.iter().filter_map(|e| match e.stage {
+            SpanStage::Compile { .. } => Some(e.end - e.start),
+            _ => None,
+        });
+        forms
+            .zip(compiles)
+            .map(|((group, at, size), compile)| Fired {
+                group,
+                at,
+                size,
+                compile,
+            })
+            .collect()
+    }
+
+    fn groups(fired: &[Fired]) -> Vec<&str> {
+        fired.iter().map(|b| b.group.as_str()).collect()
+    }
+
+    fn names<const N: usize>(specs: [QuerySpec; N]) -> [String; N] {
+        specs.map(|s| s.arch.to_string())
     }
 
     #[test]
@@ -1057,7 +1044,7 @@ mod tests {
     #[test]
     fn results_come_back_in_submission_order_despite_spec_grouping() {
         let memory = memory(3);
-        let mut service = QramService::new(memory, noiseless_config());
+        let mut service = traced(memory, noiseless_config());
         let a = QuerySpec::new(1, 2);
         let b = QuerySpec::new(2, 1);
         // Interleave specs; batching groups them, results must not.
@@ -1068,9 +1055,7 @@ mod tests {
         let got: Vec<u64> = report.results.iter().map(|r| r.id).collect();
         assert_eq!(got, ids);
         // Two batches, one per spec.
-        assert_eq!(report.batches.len(), 2);
-        assert_eq!(report.batches[0].spec, a);
-        assert_eq!(report.batches[1].spec, b);
+        assert_eq!(groups(&fired(&service)), names([a, b]));
     }
 
     #[test]
@@ -1082,7 +1067,7 @@ mod tests {
                 .with_seed(17)
                 .with_workers(workers)
                 .with_batch_limit(3);
-            let mut service = QramService::new(mem.clone(), config);
+            let mut service = traced(mem.clone(), config);
             let specs = [
                 QuerySpec::new(1, 3),
                 QuerySpec::new(2, 2),
@@ -1091,16 +1076,16 @@ mod tests {
             for i in 0..24u64 {
                 service.submit(i % 16, specs[(i % 3) as usize]);
             }
-            service.drain()
+            (service.drain(), fired(&service))
         };
-        let serial = run(1);
+        let (serial, serial_fired) = run(1);
         for workers in [2, 3, 4, 7] {
-            let parallel = run(workers);
+            let (parallel, parallel_fired) = run(workers);
             // Results (ids, values, estimates, latency breakdowns) are
             // bit-identical; so is the whole batch accounting — every
-            // field of BatchReport is virtual-clock-deterministic.
+            // span field is virtual-clock-deterministic.
             assert_eq!(serial.results, parallel.results, "workers = {workers}");
-            assert_eq!(serial.batches, parallel.batches);
+            assert_eq!(serial_fired, parallel_fired);
             assert_eq!(serial.cache, parallel.cache);
             assert_eq!(serial.admission, parallel.admission);
         }
@@ -1129,10 +1114,10 @@ mod tests {
 
     #[test]
     fn drain_on_empty_queue_is_a_no_op() {
-        let mut service = QramService::new(memory(2), noiseless_config());
+        let mut service = traced(memory(2), noiseless_config());
         let report = service.drain();
         assert!(report.results.is_empty());
-        assert!(report.batches.is_empty());
+        assert!(fired(&service).is_empty());
         assert_eq!(report.workers, 1);
     }
 
@@ -1185,7 +1170,7 @@ mod tests {
             .with_work_conserving(false)
             .with_deadline(100)
             .with_batch_limit(8);
-        let mut service = QramService::new(memory(3), config);
+        let mut service = traced(memory(3), config);
         let spec = QuerySpec::new(1, 2);
         assert!(service.try_submit_at(1, spec, 10).is_accepted());
         assert!(service.try_submit_at(2, spec, 30).is_accepted());
@@ -1201,11 +1186,11 @@ mod tests {
             assert!(result.latency.queue_wait > 0, "waited for the deadline");
             assert_eq!(result.completed - result.arrival, result.latency.total());
         }
-        // The batch report records the deadline instant.
-        let report = service.drain();
-        assert_eq!(report.batches.len(), 1);
-        assert_eq!(report.batches[0].fired_at, 110);
-        assert_eq!(report.batches[0].requests, 2);
+        // The batch's spans record the deadline instant.
+        let fired = fired(&service);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].at, 110);
+        assert_eq!(fired[0].size, 2);
     }
 
     #[test]
@@ -1255,26 +1240,6 @@ mod tests {
         let parallel = run(4);
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 12);
-    }
-
-    #[test]
-    fn batch_report_buffer_is_bounded_for_poll_only_clients() {
-        // An open-loop client that never takes batch reports must not
-        // grow the service without bound: the FIFO cap drops the oldest
-        // and counts the drops.
-        let config = noiseless_config().with_batch_limit(1);
-        let mut service = QramService::new(memory(2), config);
-        let spec = QuerySpec::new(1, 1);
-        let total = MAX_BATCH_REPORTS + 100;
-        for i in 0..total {
-            service.submit(i as u64 % 4, spec); // fires one batch each
-        }
-        assert_eq!(service.batch_reports_dropped(), 100);
-        let reports = service.take_batch_reports();
-        assert_eq!(reports.len(), MAX_BATCH_REPORTS);
-        // The retained window is the most recent one.
-        assert_eq!(reports.last().unwrap().requests, 1);
-        assert!(service.take_batch_reports().is_empty());
     }
 
     #[test]
@@ -1331,7 +1296,7 @@ mod tests {
         let config = noiseless_config()
             .with_deadline(100_000)
             .with_batch_limit(64);
-        let mut service = QramService::new(memory(3), config);
+        let mut service = traced(memory(3), config);
         let spec = QuerySpec::new(1, 2);
         assert!(service.try_submit_at(3, spec, 500).is_accepted());
         assert_eq!(service.pending(), 0, "fired on arrival, not queued");
@@ -1340,9 +1305,9 @@ mod tests {
         // No queueing: latency is exactly compile + execute.
         assert_eq!(results[0].latency.queue_wait, 0);
         assert!(results[0].latency.compile > 0);
-        let reports = service.take_batch_reports();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].fired_at, 500);
+        let fired = fired(&service);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].at, 500);
     }
 
     #[test]
@@ -1379,7 +1344,7 @@ mod tests {
             .with_deadline(1_000_000)
             .with_batch_limit(64)
             .with_release_policy(ReleasePolicy::CacheAffine { age_cap: 500_000 });
-        let mut service = QramService::new(memory(3), config);
+        let mut service = traced(memory(3), config);
         let hot = QuerySpec::new(1, 2);
         let cold = QuerySpec::new(2, 1);
         assert!(service.try_submit_at(0, hot, 0).is_accepted()); // unit 0
@@ -1389,15 +1354,12 @@ mod tests {
         assert_eq!(service.pending(), 2);
         let results = service.poll(1_000_000_000);
         assert_eq!(results.len(), 4);
-        let reports = service.take_batch_reports();
+        let fired = fired(&service);
         // Firing order: the two immediate hot fires, then the redirect
         // to the resident hot group, then the cold group.
-        assert_eq!(
-            reports.iter().map(|b| b.spec).collect::<Vec<_>>(),
-            vec![hot, hot, hot, cold]
-        );
-        assert_eq!(reports[2].compile, 0, "redirected fire was a cache hit");
-        assert!(reports[3].compile > 0, "cold group still pays its compile");
+        assert_eq!(groups(&fired), names([hot, hot, hot, cold]));
+        assert_eq!(fired[2].compile, 0, "redirected fire was a cache hit");
+        assert!(fired[3].compile > 0, "cold group still pays its compile");
         let metrics = service.metrics_snapshot();
         assert_eq!(metrics.counter(key::POLICY_CACHE_AFFINE_FIRES), 1);
         assert_eq!(metrics.counter(key::POLICY_AGE_CAP_FORCED), 0);
@@ -1412,7 +1374,7 @@ mod tests {
             .with_deadline(1_000_000)
             .with_batch_limit(64)
             .with_release_policy(ReleasePolicy::CacheAffine { age_cap: 1 });
-        let mut service = QramService::new(memory(3), config);
+        let mut service = traced(memory(3), config);
         let hot = QuerySpec::new(1, 2);
         let cold = QuerySpec::new(2, 1);
         assert!(service.try_submit_at(0, hot, 0).is_accepted());
@@ -1421,11 +1383,7 @@ mod tests {
         assert!(service.try_submit_at(3, hot, 0).is_accepted());
         let results = service.poll(1_000_000_000);
         assert_eq!(results.len(), 4);
-        let reports = service.take_batch_reports();
-        assert_eq!(
-            reports.iter().map(|b| b.spec).collect::<Vec<_>>(),
-            vec![hot, hot, cold, hot]
-        );
+        assert_eq!(groups(&fired(&service)), names([hot, hot, cold, hot]));
         let metrics = service.metrics_snapshot();
         assert_eq!(metrics.counter(key::POLICY_CACHE_AFFINE_FIRES), 0);
         assert_eq!(metrics.counter(key::POLICY_AGE_CAP_FORCED), 1);
@@ -1442,7 +1400,7 @@ mod tests {
         let config = noiseless_config()
             .with_deadline(1_000_000)
             .with_batch_limit(64);
-        let mut service = QramService::new(memory(3), config);
+        let mut service = traced(memory(3), config);
         let hot = QuerySpec::new(1, 2);
         let cold = QuerySpec::new(2, 1);
         for (address, spec) in [(0, hot), (1, hot), (2, cold), (3, hot)] {
@@ -1450,12 +1408,8 @@ mod tests {
         }
         let results = service.poll(1_000_000_000);
         assert_eq!(results.len(), 4);
-        let reports = service.take_batch_reports();
         // Strict FIFO: the cold group fires before the younger hot one.
-        assert_eq!(
-            reports.iter().map(|b| b.spec).collect::<Vec<_>>(),
-            vec![hot, hot, cold, hot]
-        );
+        assert_eq!(groups(&fired(&service)), names([hot, hot, cold, hot]));
         let metrics = service.metrics_snapshot();
         assert_eq!(metrics.counter(key::POLICY_CACHE_AFFINE_FIRES), 0);
         assert_eq!(metrics.counter(key::POLICY_AGE_CAP_FORCED), 0);

@@ -80,8 +80,6 @@ pub mod key {
     pub const CACHE_MISSES: &str = "cache.misses";
     /// Counter: compiled circuits evicted by the LRU policy.
     pub const CACHE_EVICTIONS: &str = "cache.evictions";
-    /// Counter: per-batch reports dropped by the FIFO cap.
-    pub const BATCH_REPORTS_DROPPED: &str = "service.batch_reports_dropped";
     /// Counter: requests that completed execution.
     pub const SERVICE_COMPLETED: &str = "service.completed";
     /// Counter: batches fired by the scheduler.

@@ -32,12 +32,12 @@
 //!   (Poisson/bursty arrivals, zipf-skewed addresses and specs,
 //!   closed-feedback clients).
 //! * [`fleet`] — fleet-scale serving: a deterministic virtual-time
-//!   controller over N independent service shards (each with its own
-//!   device profile, cache, and cost calibration) behind one front
-//!   door. Requests carry tenant and SLO-class tags; placement is
+//!   controller over N independent service shards (one base
+//!   configuration, each shard with its own seed, cache, and virtual
+//!   clock) behind one front door. Requests carry tenant and SLO-class tags; placement is
 //!   consistent-hash routing with planner-informed family pinning,
 //!   rendezvous replication, and cache-affine tie-breaking; the door
-//!   runs per-tenant weighted fair queueing and SLO-aware shedding
+//!   runs per-tenant round-robin queueing and SLO-aware shedding
 //!   (deadline-priority vs tail-drop). Fleet outputs are bit-identical
 //!   across every host-parallelism knob and shard-poll interleaving,
 //!   and a 1-shard fleet degenerates to the bare service.

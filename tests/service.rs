@@ -10,7 +10,7 @@ use qram::core::Memory;
 use qram::service::{
     assign_specs, assign_specs_with, mixed_arch_specs, Admission, ArrivalProcess, ClosedLoop,
     CostModel, QramService, QueryResult, QuerySpec, ReleasePolicy, ServiceConfig, ServiceReport,
-    SpecMix, Ticks, Workload,
+    SpecMix, TelemetryRecorder, Ticks, Workload,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -339,11 +339,12 @@ fn mixed_arch_zipfian_workload_is_worker_count_invariant() {
             .with_workers(workers)
             .with_cache_capacity(8)
             .with_batch_limit(8);
-        let mut service = QramService::new(memory.clone(), config);
+        let mut service =
+            QramService::with_recorder(memory.clone(), config, TelemetryRecorder::new());
         service.submit_all(stream.clone());
-        service.drain()
+        (service.drain(), service.recorder().trace_digest())
     };
-    let serial = run(1);
+    let (serial, serial_trace) = run(1);
     assert_eq!(serial.results.len(), 400);
     // Every family compiled exactly once: distinct keys, no cross-talk.
     assert_eq!(serial.cache.misses, specs.len() as u64);
@@ -359,11 +360,12 @@ fn mixed_arch_zipfian_workload_is_worker_count_invariant() {
         );
         assert_eq!(result.value, memory.get(result.address as usize));
     }
-    // Bit-identity across worker counts, mixed architectures included.
+    // Bit-identity across worker counts, mixed architectures included;
+    // the span log (every batch's BatchForm and Compile span) too.
     for workers in [2, 4] {
-        let parallel = run(workers);
+        let (parallel, parallel_trace) = run(workers);
         assert_eq!(serial.results, parallel.results, "workers = {workers}");
-        assert_eq!(serial.batches, parallel.batches);
+        assert_eq!(serial_trace, parallel_trace, "workers = {workers}");
         assert_eq!(serial.cache, parallel.cache);
     }
 }

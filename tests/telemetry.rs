@@ -143,17 +143,31 @@ fn accepted_requests_carry_the_full_span_pipeline() {
         .count() as u64;
     assert_eq!(queue_waits, completed);
     assert_eq!(executes, completed);
-    // Batch formation and compile spans pair up one per fired batch.
+    // Batch formation and compile spans pair up one per fired batch:
+    // the span log is the record of every batch, so both counts match
+    // the always-on counter.
     let batch_forms = spans
         .iter()
         .filter(|s| matches!(s.stage, SpanStage::BatchForm { .. }))
-        .count();
-    let compiles = spans
+        .count() as u64;
+    let compiles: Vec<_> = spans
         .iter()
         .filter(|s| matches!(s.stage, SpanStage::Compile { .. }))
-        .count();
-    assert_eq!(batch_forms, compiles);
+        .collect();
     assert!(batch_forms > 0);
+    assert_eq!(batch_forms, compiles.len() as u64);
+    assert_eq!(
+        batch_forms,
+        service.metrics_snapshot().counter(key::BATCHES_FIRED)
+    );
+    // A compile span's width is the compile charge: positive exactly on
+    // a cache miss, so readers may take `end > start` as a miss.
+    for span in compiles {
+        let SpanStage::Compile { cache_hit, .. } = span.stage else {
+            unreachable!()
+        };
+        assert_eq!(span.end > span.start, !cache_hit, "{span:?}");
+    }
 }
 
 #[test]
