@@ -4,27 +4,43 @@
 //! in memory *constant in circuit depth* because the gate family is
 //! classical-reversible — the interesting cost is time per (gate × path).
 //! These benches measure full-query simulation and one Monte-Carlo shot
-//! across QRAM widths.
+//! across QRAM widths, on the uniform superposition over every address
+//! (`2^m` paths) and on a single address (one path, the basis-state input
+//! the serving layer simulates for each request).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qram_bench::experiment_memory;
-use qram_core::{QueryArchitecture, VirtualQram};
+use qram_core::{QueryArchitecture, QueryCircuit, VirtualQram};
 use qram_noise::{FaultSampler, NoiseModel, PauliChannel};
-use qram_sim::{run, run_shots_stats, run_with_faults, ShotConfig};
+use qram_sim::{run, run_shots_stats, run_with_faults, Amplitude, PathState, ShotConfig};
+
+/// The bench inputs of `query`: the uniform superposition over every
+/// address (label `virtual_k0`) and the basis state of its last address
+/// (label `virtual_k0_one_path`).
+fn inputs(query: &QueryCircuit) -> [(&'static str, PathState); 2] {
+    let last = (1usize << query.address().len()) - 1;
+    let mut amps = vec![Amplitude::ZERO; last + 1];
+    amps[last] = Amplitude::ONE;
+    [
+        ("virtual_k0", query.input_state(None)),
+        ("virtual_k0_one_path", query.input_state(Some(&amps))),
+    ]
+}
 
 fn bench_noiseless_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("noiseless_query");
     for m in [2usize, 4, 6] {
         let memory = experiment_memory(m, 1);
         let query = VirtualQram::new(0, m).build(&memory);
-        let input = query.input_state(None);
-        group.bench_with_input(BenchmarkId::new("virtual_k0", m), &m, |b, _| {
-            b.iter(|| {
-                let mut state = input.clone();
-                run(query.circuit().gates(), &mut state).unwrap();
-                state.num_paths()
-            })
-        });
+        for (label, input) in inputs(&query) {
+            group.bench_with_input(BenchmarkId::new(label, m), &m, |b, _| {
+                b.iter(|| {
+                    let mut state = input.clone();
+                    run(query.circuit().gates(), &mut state).unwrap();
+                    state.num_paths()
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -34,19 +50,20 @@ fn bench_noisy_shot(c: &mut Criterion) {
     for m in [2usize, 4, 6] {
         let memory = experiment_memory(m, 2);
         let query = VirtualQram::new(0, m).build(&memory);
-        let input = query.input_state(None);
         let model = NoiseModel::per_gate(PauliChannel::depolarizing(1e-3));
-        group.bench_with_input(BenchmarkId::new("virtual_k0", m), &m, |b, _| {
-            let sampler = FaultSampler::new(query.circuit(), model, 3);
-            let mut shot = 0u64;
-            b.iter(|| {
-                let plan = sampler.sample_shot(shot);
-                shot += 1;
-                let mut state = input.clone();
-                run_with_faults(query.circuit().gates(), &mut state, &plan, 1).unwrap();
-                state.num_paths()
-            })
-        });
+        for (label, input) in inputs(&query) {
+            group.bench_with_input(BenchmarkId::new(label, m), &m, |b, _| {
+                let sampler = FaultSampler::new(query.circuit(), model, 3);
+                let mut shot = 0u64;
+                b.iter(|| {
+                    let plan = sampler.sample_shot(shot);
+                    shot += 1;
+                    let mut state = input.clone();
+                    run_with_faults(query.circuit().gates(), &mut state, &plan, 1).unwrap();
+                    state.num_paths()
+                })
+            });
+        }
     }
     group.finish();
 }

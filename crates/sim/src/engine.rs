@@ -32,18 +32,25 @@
 //! paths when individual shots are wide (`m ≥ 8`, thousands of paths) and
 //! shots are few.
 //!
-//! Each shard additionally reuses one scratch [`PathState`], resetting it
-//! from the input via the allocation-reusing [`Clone::clone_from`] instead
-//! of cloning a fresh state per shot — the per-shot allocation the serial
-//! harness used to pay.
+//! Everything a shot shares with the others is prepared once per call:
+//! the gate list is validated and lowered to one op tape, which runs the
+//! ideal trajectory and then every replayed shot with that shot's faults
+//! spliced in; the ideal side of the overlap (the path index of the full
+//! fidelity, the kept-substring map of the reduced one) is built on the
+//! first replayed shot and shared by every shard. Each shard reuses one
+//! scratch [`PathState`], resetting it from the input via the
+//! allocation-reusing [`Clone::clone_from`] instead of cloning a fresh
+//! state per shot.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::executor::{execute, validate_faults};
-use crate::{run_with_faults, FaultPlan, FidelityEstimate, PathState, SimError};
+use crate::executor::{execute, lower_checked, validate_faults, Tape};
+use crate::state::{PathIndex, ReducedReference};
+use crate::{FaultPlan, FidelityEstimate, PathState, SimError};
 
 fn available_cores() -> usize {
     thread::available_parallelism()
@@ -229,10 +236,10 @@ impl ShotStats {
 ///
 /// # Errors
 ///
-/// The gate list is validated once, by the ideal run; each replayed shot
-/// then checks only its own faults. Returns the ideal run's error, else
-/// the first shot error by lowest shard (all shards run to completion or
-/// error independently).
+/// The gate list is validated once, as it is lowered for the ideal run;
+/// each replayed shot then checks only its own faults. Returns the ideal
+/// run's error, else the first shot error by lowest shard (all shards run
+/// to completion or error independently).
 pub fn run_shots_stats(
     gates: &[Gate],
     input: &PathState,
@@ -241,8 +248,9 @@ pub fn run_shots_stats(
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<(FidelityEstimate, ShotStats), SimError> {
     let path_chunks = config.resolved_path_chunks();
+    let tape = lower_checked(gates, &[], input.num_qubits())?;
     let mut ideal = input.clone();
-    run_with_faults(gates, &mut ideal, &FaultPlan::new(), path_chunks)?;
+    execute(&tape, &mut ideal, &[], path_chunks);
 
     let shots = config.shots;
     if shots == 0 {
@@ -251,41 +259,29 @@ pub fn run_shots_stats(
     let threads = config.resolved_threads().min(shots).max(1);
     let mut samples = vec![0.0f64; shots];
     let mut stats = ShotStats::default();
+    let run = ShotRun {
+        tape: &tape,
+        input,
+        ideal: &ideal,
+        keep,
+        reference: OnceLock::new(),
+        path_chunks,
+    };
 
     if threads == 1 {
-        stats = run_shard(
-            gates,
-            input,
-            &ideal,
-            keep,
-            0,
-            path_chunks,
-            &mut samples,
-            sample_plan,
-        )?;
+        stats = run.shard(0, &mut samples, sample_plan)?;
     } else {
         // Contiguous sharding: shard `i` owns shots [i·chunk, (i+1)·chunk).
         // Shot indices are global, so the shard boundaries never influence
         // which plan a shot receives.
         let chunk = shots.div_ceil(threads);
-        let ideal_ref = &ideal;
+        let run = &run;
         let results: Vec<Result<ShotStats, SimError>> = thread::scope(|scope| {
             let handles: Vec<_> = samples
                 .chunks_mut(chunk)
                 .enumerate()
                 .map(|(i, out)| {
-                    scope.spawn(move || {
-                        run_shard(
-                            gates,
-                            input,
-                            ideal_ref,
-                            keep,
-                            (i * chunk) as u64,
-                            path_chunks,
-                            out,
-                            sample_plan,
-                        )
-                    })
+                    scope.spawn(move || run.shard((i * chunk) as u64, out, sample_plan))
                 })
                 .collect();
             handles
@@ -300,48 +296,74 @@ pub fn run_shots_stats(
     Ok((FidelityEstimate::from_samples(&samples), stats))
 }
 
-/// Runs one shard's contiguous shot range, writing fidelities into `out`.
-///
-/// Each noisy shot checks its faults against the (already validated)
-/// circuit, then replays it over `path_chunks` parallel path ranges of
-/// the scratch slab; the overlap reduction then runs serially over the
-/// whole slab, so the sample value is bit-identical to the serial
-/// engine's.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    gates: &[Gate],
-    input: &PathState,
-    ideal: &PathState,
-    keep: Option<&[Qubit]>,
-    first_shot: u64,
+/// The ideal side of every shot's overlap, prepared once.
+enum Reference<'a> {
+    Full(PathIndex<'a>),
+    Reduced(ReducedReference),
+}
+
+/// What every shard of one [`run_shots_stats`] call shares.
+struct ShotRun<'a> {
+    tape: &'a Tape,
+    input: &'a PathState,
+    ideal: &'a PathState,
+    keep: Option<&'a [Qubit]>,
+    /// Built by the first replayed shot, so a run that replays none
+    /// never prepares (or rejects) the reference.
+    reference: OnceLock<Reference<'a>>,
     path_chunks: usize,
-    out: &mut [f64],
-    sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
-) -> Result<ShotStats, SimError> {
-    // One scratch state per shard, reset (not reallocated) per shot.
-    let mut scratch = PathState::zero_vector(input.num_qubits());
-    let mut stats = ShotStats::default();
-    for (i, slot) in out.iter_mut().enumerate() {
-        let plan = sample_plan(first_shot + i as u64);
-        stats.shots += 1;
-        if plan.is_empty() {
-            // Fault-free shot: fidelity is exactly 1; skip the replay.
-            *slot = 1.0;
-            continue;
+}
+
+impl ShotRun<'_> {
+    /// Runs one shard's contiguous shot range, writing fidelities into
+    /// `out`.
+    ///
+    /// Each noisy shot checks its faults against the (already validated)
+    /// tape, then replays it over `path_chunks` parallel path ranges of
+    /// the scratch slab; the overlap reduction then runs serially over
+    /// the whole slab, so the sample value is bit-identical to the
+    /// serial engine's.
+    fn shard(
+        &self,
+        first_shot: u64,
+        out: &mut [f64],
+        sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
+    ) -> Result<ShotStats, SimError> {
+        // One scratch state per shard, reset (not reallocated) per shot.
+        let mut scratch = PathState::zero_vector(self.input.num_qubits());
+        let mut stats = ShotStats::default();
+        for (i, slot) in out.iter_mut().enumerate() {
+            let plan = sample_plan(first_shot + i as u64);
+            stats.shots += 1;
+            if plan.is_empty() {
+                // Fault-free shot: fidelity is exactly 1; skip the replay.
+                *slot = 1.0;
+                continue;
+            }
+            stats.replayed += 1;
+            stats.faults += plan.len() as u64;
+            stats.gate_applications += self.tape.len() as u64;
+            let faults = plan.sorted();
+            validate_faults(&faults, self.tape.len(), self.input.num_qubits())?;
+            scratch.clone_from(self.input);
+            execute(self.tape, &mut scratch, &faults, self.path_chunks);
+            *slot = match self.reference() {
+                // Every run preserves the path count, so the ideal is never
+                // the larger side and the index reproduces
+                // `ideal.fidelity(&scratch)` term for term.
+                Reference::Full(index) => index.overlap(&scratch, true).norm_sqr(),
+                Reference::Reduced(reference) => reference.fidelity(&scratch),
+            };
         }
-        stats.replayed += 1;
-        stats.faults += plan.len() as u64;
-        stats.gate_applications += gates.len() as u64;
-        let faults = plan.sorted();
-        validate_faults(&faults, gates.len(), input.num_qubits())?;
-        scratch.clone_from(input);
-        execute(gates, &mut scratch, &faults, path_chunks);
-        *slot = match keep {
-            None => ideal.fidelity(&scratch),
-            Some(keep) => ideal.reduced_fidelity(&scratch, keep),
-        };
+        Ok(stats)
     }
-    Ok(stats)
+
+    fn reference(&self) -> &Reference<'_> {
+        self.reference.get_or_init(|| match self.keep {
+            None => Reference::Full(PathIndex::new(self.ideal)),
+            Some(keep) => Reference::Reduced(self.ideal.reduced_reference(keep)),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -7,27 +7,44 @@
 //! the trajectory samples the paper averages in its fidelity plots
 //! (Sec. 6.3).
 //!
+//! Every run executes on a lowered op tape. The gate list is lowered once
+//! per run into a flat tape of [`Op`]s, one per gate, so fault locations
+//! index the tape exactly as they index the gate list. Lowering resolves
+//! every operand to a word index plus a one-bit mask, folds each
+//! control's polarity into an expected-value mask (controls that share a
+//! word become a single masked compare), and keeps the controls of `Mcx`
+//! gates that span more than two words in a side table. Executing an op
+//! is then a few word loads, compares and xors per path; no qubit-range
+//! assertion, polarity branch or per-gate closure remains in the loop.
+//!
+//! Lowering also validates the run, in serial execution order: it stops
+//! at the first gate with an out-of-range qubit or outside the
+//! classical-reversible family, the faults that fire before that point
+//! are checked against it, and only a valid run touches the slab.
+//!
+//! The tape runs under the nesting the view's path count calls for. A
+//! single path (the basis-state input the serving layer simulates) streams
+//! the whole tape while its words stay in L1 (*path-major*). With more
+//! paths each op sweeps the whole view before the next (*op-major*), so
+//! its dispatch is paid once per view rather than once per path. Both
+//! nestings call the same [`Tape::apply`] kernel.
+//!
 //! Because every gate in the classical-reversible + Pauli family maps each
 //! path independently (paths never interact during execution, only in the
 //! final overlap reductions), a whole run factorizes over disjoint path
 //! ranges: [`run_with_faults`] splits the state's slab into contiguous
-//! chunks and executes the full gate/fault sequence on each chunk in
-//! parallel under [`std::thread::scope`]. The result is *bit-identical*
-//! to the serial run — each path's bit and amplitude operations are the
-//! same instruction sequence regardless of which chunk it lands in, and
-//! the slab order is preserved.
-//!
-//! Every run is validated before it executes: one state-free pass in
-//! serial execution order reports the first out-of-range qubit or
-//! non-reversible gate, and only a valid run touches the slab, so gate
-//! application itself carries no error checks.
+//! chunks and runs the tape, faults spliced in, on each chunk in parallel
+//! under [`std::thread::scope`]. The result is *bit-identical* to the
+//! serial run — each path's bit and amplitude operations are the same
+//! instruction sequence regardless of which chunk it lands in, and the
+//! slab order is preserved.
 
 use std::thread;
 
 use qram_circuit::{Control, Gate, Qubit};
 
-use crate::state::{PathBits, PathsMut};
-use crate::{PathState, SimError};
+use crate::state::PathsMut;
+use crate::{Amplitude, PathState, SimError};
 
 /// A single-qubit Pauli error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,63 +206,41 @@ pub fn run_with_faults(
     chunks: usize,
 ) -> Result<(), SimError> {
     let faults = plan.sorted();
-    validate(gates, &faults, state.num_qubits())?;
-    execute(gates, state, &faults, chunks);
+    let tape = lower_checked(gates, &faults, state.num_qubits())?;
+    execute(&tape, state, &faults, chunks);
     Ok(())
 }
 
-/// Executes an already validated run (see [`validate`]): inline over the
+/// Lowers `gates` and validates the run in serial execution order (a
+/// fault fires before the gate at its index, the final fire after the
+/// last gate): reports the first out-of-range qubit or non-reversible
+/// gate exactly where a checking executor would meet it. `faults` must
+/// be location-sorted.
+pub(crate) fn lower_checked(
+    gates: &[Gate],
+    faults: &[Fault],
+    num_qubits: usize,
+) -> Result<Tape, SimError> {
+    let lowered = Tape::lower(gates, num_qubits);
+    // Faults at index ≤ i fire before gate i, so they come first.
+    let horizon = lowered.as_ref().map_or_else(|(i, _)| *i, Tape::len);
+    validate_faults(faults, horizon, num_qubits)?;
+    lowered.map_err(|(_, e)| e)
+}
+
+/// Executes a validated run (see [`lower_checked`]): inline over the
 /// whole slab when `chunks` clamps to 1, otherwise one scoped thread per
 /// chunk view.
-pub(crate) fn execute(gates: &[Gate], state: &mut PathState, faults: &[Fault], chunks: usize) {
+pub(crate) fn execute(tape: &Tape, state: &mut PathState, faults: &[Fault], chunks: usize) {
     if chunks.min(state.num_paths()) <= 1 {
-        run_plan_on(gates, &mut state.as_paths_mut(), faults);
+        tape.run_on(state.as_paths_mut(), faults);
     } else {
         thread::scope(|scope| {
-            for mut view in state.chunk_views(chunks) {
-                scope.spawn(move || run_plan_on(gates, &mut view, faults));
+            for view in state.chunk_views(chunks) {
+                scope.spawn(move || tape.run_on(view, faults));
             }
         });
     }
-}
-
-/// Executes the full gate/fault sequence over one slab view. `faults`
-/// must already be location-sorted ([`FaultPlan::sorted`]).
-fn run_plan_on(gates: &[Gate], view: &mut PathsMut<'_>, faults: &[Fault]) {
-    let mut pending = faults.iter().peekable();
-    let mut fire = |idx: usize, view: &mut PathsMut<'_>| {
-        while let Some(f) = pending.next_if(|f| f.gate_index <= idx) {
-            match f.pauli {
-                Pauli::X => view.apply_x(f.qubit.index()),
-                Pauli::Y => view.apply_y(f.qubit.index()),
-                Pauli::Z => view.apply_z(f.qubit.index()),
-            }
-        }
-    };
-    for (i, gate) in gates.iter().enumerate() {
-        fire(i, view);
-        apply_gate_on(gate, view);
-    }
-    fire(gates.len(), view);
-}
-
-/// State-free validation of a run in serial execution order (a fault
-/// fires before the gate at its index, the final fire after the last
-/// gate): reports the first out-of-range qubit or non-reversible gate
-/// exactly where a checking executor would meet it. `faults` must be
-/// location-sorted.
-fn validate(gates: &[Gate], faults: &[Fault], num_qubits: usize) -> Result<(), SimError> {
-    let bad_gate = gates
-        .iter()
-        .enumerate()
-        .find_map(|(i, gate)| validate_gate(gate, num_qubits).err().map(|e| (i, e)));
-    // Faults at index ≤ i fire before gate i, so they come first.
-    validate_faults(
-        faults,
-        bad_gate.as_ref().map_or(gates.len(), |(i, _)| *i),
-        num_qubits,
-    )?;
-    bad_gate.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Checks the qubit bounds of the location-sorted `faults` that fire
@@ -270,69 +265,316 @@ pub(crate) fn validate_faults(
     }
 }
 
-/// The error checks of one gate: qubit bounds first, then gate-family
-/// legality.
-fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
-    if let Some(q) = gate.qubits().into_iter().find(|q| q.index() >= num_qubits) {
-        return Err(SimError::QubitOutOfRange {
-            index: q.index(),
-            num_qubits,
-        });
-    }
-    if matches!(gate, Gate::H(_)) {
-        return Err(SimError::NonReversibleGate { gate: "h" });
-    }
-    Ok(())
+/// Views with at most this many paths run path-major, larger ones
+/// op-major. Path-major dispatches every op once per path; measured on
+/// width-2 to width-6 virtual QRAM queries it was no faster than
+/// op-major at 4 paths and about 1.5× slower at 16, but about 1.7×
+/// faster at one.
+const PATH_MAJOR_MAX_PATHS: usize = 1;
+
+/// One operand qubit: the word it lives in and its bit within that word.
+#[derive(Debug, Clone, Copy)]
+struct Bit {
+    word: usize,
+    mask: u64,
 }
 
-/// Applies one gate to a slab view. The gate must have passed
-/// [`validate_gate`]: no bounds or family check happens here.
-fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>) {
-    #[inline]
-    fn ctrl_active(bits: &PathBits<'_>, c: &Control) -> bool {
-        bits.get(c.qubit.index()) == c.value
+impl Bit {
+    fn of(qubit: Qubit) -> Bit {
+        let i = qubit.index();
+        Bit {
+            word: i / 64,
+            mask: 1 << (i % 64),
+        }
     }
-    match gate {
-        Gate::Barrier => {}
-        Gate::H(_) => unreachable!("`H` is rejected by validation"),
-        Gate::X(q) | Gate::ClX(q) => view.apply_x(q.index()),
-        Gate::Y(q) => view.apply_y(q.index()),
-        Gate::Z(q) => view.apply_z(q.index()),
-        Gate::Cx { control, target } | Gate::ClCx { control, target } => {
-            let (c, t) = (*control, target.index());
-            view.permute_paths(|bits| {
-                if ctrl_active(bits, &c) {
-                    bits.flip(t);
+
+    /// The operand of `qubit`, or the run's range error.
+    fn checked(qubit: Qubit, num_qubits: usize) -> Result<Bit, SimError> {
+        if qubit.index() < num_qubits {
+            Ok(Bit::of(qubit))
+        } else {
+            Err(SimError::QubitOutOfRange {
+                index: qubit.index(),
+                num_qubits,
+            })
+        }
+    }
+
+    #[inline(always)]
+    fn get(self, words: &[u64]) -> bool {
+        words[self.word] & self.mask != 0
+    }
+
+    #[inline(always)]
+    fn flip(self, words: &mut [u64]) {
+        words[self.word] ^= self.mask;
+    }
+}
+
+/// The controls of one gate that live in one word: the gate may fire
+/// only if `words[word] & mask == expect`.
+#[derive(Debug, Clone, Copy)]
+struct Test {
+    word: usize,
+    mask: u64,
+    expect: u64,
+}
+
+impl Test {
+    /// The test of one control, or the run's range error.
+    fn checked(control: &Control, num_qubits: usize) -> Result<Test, SimError> {
+        let c = Bit::checked(control.qubit, num_qubits)?;
+        Ok(Test {
+            word: c.word,
+            mask: c.mask,
+            expect: if control.value { c.mask } else { 0 },
+        })
+    }
+
+    #[inline(always)]
+    fn holds(self, words: &[u64]) -> bool {
+        words[self.word] & self.mask == self.expect
+    }
+}
+
+/// One lowered gate (or fault).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// A barrier, or a controlled gate whose controls contradict each
+    /// other and so never fires.
+    Nop,
+    X(Bit),
+    Y(Bit),
+    Z(Bit),
+    /// X on the target when the one control test holds.
+    Cx(Test, Bit),
+    /// X on the target when both control tests hold.
+    Ccx(Test, Test, Bit),
+    /// X on the target when every test in the side table's
+    /// `tests[first..end]` holds.
+    Mcx {
+        first: usize,
+        end: usize,
+        target: Bit,
+    },
+    Swap(Bit, Bit),
+    Cswap(Test, Bit, Bit),
+}
+
+impl Op {
+    /// The op of a validated fault.
+    fn pauli(fault: &Fault) -> Op {
+        let bit = Bit::of(fault.qubit);
+        match fault.pauli {
+            Pauli::X => Op::X(bit),
+            Pauli::Y => Op::Y(bit),
+            Pauli::Z => Op::Z(bit),
+        }
+    }
+}
+
+/// A gate list lowered for one qubit count: one [`Op`] per gate plus the
+/// side table of `Mcx` control tests.
+#[derive(Debug)]
+pub(crate) struct Tape {
+    ops: Vec<Op>,
+    tests: Vec<Test>,
+}
+
+impl Tape {
+    /// Lowers `gates` for a `num_qubits`-qubit state. Fails at the first
+    /// gate, in order, that references a qubit out of range (checked in
+    /// [`Gate::qubits`] order) or is not classical-reversible, returning
+    /// that gate's index with the error.
+    pub(crate) fn lower(gates: &[Gate], num_qubits: usize) -> Result<Tape, (usize, SimError)> {
+        let mut tape = Tape {
+            ops: Vec::with_capacity(gates.len()),
+            tests: Vec::new(),
+        };
+        for (i, gate) in gates.iter().enumerate() {
+            let op = tape.lower_gate(gate, num_qubits).map_err(|e| (i, e))?;
+            tape.ops.push(op);
+        }
+        Ok(tape)
+    }
+
+    /// Number of ops, which is the number of gates lowered.
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn lower_gate(&mut self, gate: &Gate, num_qubits: usize) -> Result<Op, SimError> {
+        let bit = |q: &Qubit| Bit::checked(*q, num_qubits);
+        Ok(match gate {
+            Gate::Barrier => Op::Nop,
+            Gate::H(q) => {
+                bit(q)?;
+                return Err(SimError::NonReversibleGate { gate: "h" });
+            }
+            Gate::X(q) | Gate::ClX(q) => Op::X(bit(q)?),
+            Gate::Y(q) => Op::Y(bit(q)?),
+            Gate::Z(q) => Op::Z(bit(q)?),
+            Gate::Cx { control, target } | Gate::ClCx { control, target } => {
+                Op::Cx(Test::checked(control, num_qubits)?, bit(target)?)
+            }
+            Gate::Ccx { controls, target } => self.controlled_x(controls, target, num_qubits)?,
+            Gate::Mcx { controls, target } => self.controlled_x(controls, target, num_qubits)?,
+            Gate::Swap(a, b) | Gate::ClSwap(a, b) => Op::Swap(bit(a)?, bit(b)?),
+            Gate::Cswap { control, a, b } => {
+                Op::Cswap(Test::checked(control, num_qubits)?, bit(a)?, bit(b)?)
+            }
+        })
+    }
+
+    /// Lowers a `Ccx` or `Mcx`: the controls fold into one [`Test`] per
+    /// word they touch, built at the end of the side table and moved
+    /// inline when there are at most two.
+    fn controlled_x(
+        &mut self,
+        controls: &[Control],
+        target: &Qubit,
+        num_qubits: usize,
+    ) -> Result<Op, SimError> {
+        let first = self.tests.len();
+        let mut satisfiable = true;
+        for control in controls {
+            let c = Test::checked(control, num_qubits)?;
+            match self.tests[first..].iter_mut().find(|t| t.word == c.word) {
+                Some(t) => {
+                    // Two controls on one qubit that demand opposite values.
+                    satisfiable &= (t.expect ^ c.expect) & t.mask & c.mask == 0;
+                    t.mask |= c.mask;
+                    t.expect |= c.expect;
+                }
+                None => self.tests.push(c),
+            }
+        }
+        let target = Bit::checked(*target, num_qubits)?;
+        let op = match self.tests[first..] {
+            _ if !satisfiable => Op::Nop,
+            [] => Op::X(target),
+            [c] => Op::Cx(c, target),
+            [c0, c1] => Op::Ccx(c0, c1, target),
+            _ => {
+                return Ok(Op::Mcx {
+                    first,
+                    end: self.tests.len(),
+                    target,
+                })
+            }
+        };
+        self.tests.truncate(first);
+        Ok(op)
+    }
+
+    /// Applies one op to one path. Operands were range-checked when the
+    /// tape was lowered, so no qubit-range or gate-family check happens
+    /// here.
+    #[inline(always)]
+    fn apply(&self, op: &Op, words: &mut [u64], amp: &mut Amplitude) {
+        #[inline(always)]
+        fn swap(words: &mut [u64], a: Bit, b: Bit) {
+            if a.get(words) != b.get(words) {
+                a.flip(words);
+                b.flip(words);
+            }
+        }
+        match *op {
+            Op::Nop => {}
+            Op::X(t) => t.flip(words),
+            Op::Y(t) => {
+                let was_one = t.get(words);
+                t.flip(words);
+                *amp = if was_one {
+                    amp.mul_neg_i()
+                } else {
+                    amp.mul_i()
+                };
+            }
+            Op::Z(t) => {
+                if t.get(words) {
+                    *amp = -*amp;
+                }
+            }
+            Op::Cx(c, t) => {
+                if c.holds(words) {
+                    t.flip(words);
+                }
+            }
+            Op::Ccx(c0, c1, t) => {
+                if c0.holds(words) && c1.holds(words) {
+                    t.flip(words);
+                }
+            }
+            Op::Mcx { first, end, target } => {
+                if self.tests[first..end].iter().all(|c| c.holds(words)) {
+                    target.flip(words);
+                }
+            }
+            Op::Swap(a, b) => swap(words, a, b),
+            Op::Cswap(c, a, b) => {
+                if c.holds(words) {
+                    swap(words, a, b);
+                }
+            }
+        }
+    }
+
+    /// Calls `f` on the ops of one run in execution order, a slice at a
+    /// time: the tape split at the location-sorted `faults`, with each
+    /// fault's op as a slice of its own between the pieces (a fault at
+    /// `gate_index = i` fires after `i` tape ops). Faults located past
+    /// the end of the tape never fire. Handing out slices keeps the
+    /// per-op loop inside `f`, where [`Tape::apply`] inlines.
+    #[inline(always)]
+    fn walk(&self, faults: &[Fault], mut f: impl FnMut(&[Op])) {
+        let mut done = 0;
+        for fault in faults.iter().take_while(|f| f.gate_index <= self.ops.len()) {
+            f(&self.ops[done..fault.gate_index]);
+            f(&[Op::pauli(fault)]);
+            done = fault.gate_index;
+        }
+        f(&self.ops[done..]);
+    }
+
+    /// Runs the tape over one slab view, with the validated,
+    /// location-sorted `faults` spliced in.
+    pub(crate) fn run_on(&self, mut view: PathsMut<'_>, faults: &[Fault]) {
+        if view.num_paths() <= PATH_MAJOR_MAX_PATHS {
+            for (words, amp) in view.paths() {
+                self.walk(faults, |ops| {
+                    for op in ops {
+                        self.apply(op, words, amp);
+                    }
+                });
+            }
+        } else {
+            self.walk(faults, |ops| {
+                for op in ops {
+                    match *op {
+                        Op::Nop => {}
+                        op @ Op::X(_) => self.sweep(op, &mut view),
+                        op @ Op::Y(_) => self.sweep(op, &mut view),
+                        op @ Op::Z(_) => self.sweep(op, &mut view),
+                        op @ Op::Cx(..) => self.sweep(op, &mut view),
+                        op @ Op::Ccx(..) => self.sweep(op, &mut view),
+                        op @ Op::Mcx { .. } => self.sweep(op, &mut view),
+                        op @ Op::Swap(..) => self.sweep(op, &mut view),
+                        op @ Op::Cswap(..) => self.sweep(op, &mut view),
+                    }
                 }
             });
         }
-        Gate::Ccx { controls, target } => {
-            let (cs, t) = (*controls, target.index());
-            view.permute_paths(|bits| {
-                if ctrl_active(bits, &cs[0]) && ctrl_active(bits, &cs[1]) {
-                    bits.flip(t);
-                }
-            });
-        }
-        Gate::Mcx { controls, target } => {
-            let t = target.index();
-            view.permute_paths(|bits| {
-                if controls.iter().all(|c| ctrl_active(bits, c)) {
-                    bits.flip(t);
-                }
-            });
-        }
-        Gate::Swap(a, b) | Gate::ClSwap(a, b) => {
-            let (a, b) = (a.index(), b.index());
-            view.permute_paths(|bits| bits.swap_bits(a, b));
-        }
-        Gate::Cswap { control, a, b } => {
-            let (c, a, b) = (*control, a.index(), b.index());
-            view.permute_paths(|bits| {
-                if ctrl_active(bits, &c) {
-                    bits.swap_bits(a, b);
-                }
-            });
+    }
+
+    /// Applies `op` to every path of `view`. Op-major runs match on the
+    /// op *before* calling this, one arm per kind: inlined into an arm
+    /// whose kind is known, [`Tape::apply`]'s own match folds away and
+    /// the path loop runs that kind's kernel alone.
+    #[inline(always)]
+    fn sweep(&self, op: Op, view: &mut PathsMut<'_>) {
+        for (words, amp) in view.paths() {
+            self.apply(&op, words, amp);
         }
     }
 }
@@ -634,5 +876,76 @@ mod tests {
         run(c.gates(), &mut s).unwrap();
         run(c.inverted().gates(), &mut s).unwrap();
         assert!((s.fidelity(&input) - 1.0).abs() < 1e-12);
+    }
+
+    fn lowered(gate: Gate, num_qubits: usize) -> (Op, Vec<Test>) {
+        let tape = Tape::lower(&[gate], num_qubits).unwrap();
+        (tape.ops[0], tape.tests)
+    }
+
+    #[test]
+    fn controls_sharing_a_word_fold_into_one_test() {
+        let (op, tests) = lowered(Gate::ccx(Qubit(3), Qubit(70), Qubit(5)), 130);
+        assert!(matches!(op, Op::Ccx(..)));
+        assert!(tests.is_empty());
+        // qubits 0, 2 (word 0) and 64 (word 1), one of them 0-controlled.
+        let gate = Gate::mcx_pattern(&[Qubit(0), Qubit(64), Qubit(2)], 0b101, Qubit(9));
+        let (op, tests) = lowered(gate, 130);
+        let Op::Ccx(c0, c1, _) = op else {
+            panic!("expected two word tests, got {op:?}")
+        };
+        assert_eq!((c0.word, c0.mask, c0.expect), (0, 0b101, 0b101));
+        assert_eq!((c1.word, c1.mask, c1.expect), (1, 1, 0));
+        assert!(tests.is_empty());
+    }
+
+    #[test]
+    fn wide_mcx_keeps_its_tests_in_the_side_table() {
+        let gate = Gate::mcx([Qubit(1), Qubit(65), Qubit(129)], Qubit(0));
+        let (op, tests) = lowered(gate, 130);
+        assert!(matches!(
+            op,
+            Op::Mcx {
+                first: 0,
+                end: 3,
+                ..
+            }
+        ));
+        assert_eq!(tests.len(), 3);
+        // Zero controls lower to a plain X.
+        let (op, _) = lowered(Gate::mcx([], Qubit(0)), 1);
+        assert!(matches!(op, Op::X(_)));
+    }
+
+    #[test]
+    fn contradictory_controls_never_fire() {
+        let gate = Gate::Ccx {
+            controls: [Control::on(Qubit(1)), Control::off(Qubit(1))],
+            target: Qubit(0),
+        };
+        let (op, tests) = lowered(gate, 2);
+        assert!(matches!(op, Op::Nop));
+        assert!(tests.is_empty());
+    }
+
+    #[test]
+    fn lowering_reports_the_first_bad_gate_in_operand_order() {
+        let gates = [
+            Gate::x(Qubit(0)),
+            Gate::cswap(Qubit(9), Qubit(8), Qubit(0)),
+            Gate::H(Qubit(0)),
+        ];
+        let (at, err) = Tape::lower(&gates, 4).unwrap_err();
+        assert_eq!(at, 1);
+        assert_eq!(
+            err,
+            SimError::QubitOutOfRange {
+                index: 9,
+                num_qubits: 4
+            }
+        );
+        let (at, err) = Tape::lower(&gates[2..], 4).unwrap_err();
+        assert_eq!(at, 0);
+        assert_eq!(err, SimError::NonReversibleGate { gate: "h" });
     }
 }

@@ -34,8 +34,7 @@ fn word_flip(words: &mut [u64], i: usize) {
 }
 
 /// Packs the bits of `words` selected by `idx` (in order) into a fresh
-/// word vector — the substring-extraction primitive of the reduced
-/// fidelity.
+/// word vector: the kept-substring key of the reduced fidelity.
 fn extract_bits(words: &[u64], idx: &[usize]) -> Vec<u64> {
     let mut out = vec![0u64; idx.len().div_ceil(64)];
     for (k, &i) in idx.iter().enumerate() {
@@ -51,7 +50,7 @@ fn extract_bits(words: &[u64], idx: &[usize]) -> Vec<u64> {
 /// This is the argument type of [`PathState::permute_paths`] closures: it
 /// exposes the same bit-level operations as [`BitString`] (`get`, `set`,
 /// `flip`, `swap_bits`, MSB-first register reads/writes) but borrows the
-/// path's words in place — the hot loop of the simulator touches no heap.
+/// path's words in place, so a permutation touches no heap.
 #[derive(Debug)]
 pub struct PathBits<'a> {
     words: &'a mut [u64],
@@ -144,74 +143,31 @@ impl PathBits<'_> {
 
 /// A mutable view over a contiguous range of paths in a [`PathState`]
 /// slab — the unit of work of the path-parallel executor. Views of
-/// disjoint path ranges borrow disjoint slices, so chunked gate
-/// application needs no locking and no `unsafe`.
+/// disjoint path ranges borrow disjoint slices, so chunked execution
+/// needs no locking and no `unsafe`.
 #[derive(Debug)]
 pub(crate) struct PathsMut<'a> {
     words: &'a mut [u64],
     amps: &'a mut [Amplitude],
     stride: usize,
-    num_qubits: usize,
 }
 
 impl PathsMut<'_> {
-    /// The hot iteration idiom: `chunks_exact_mut` walks the word slab
-    /// one path at a time without per-path index arithmetic or bounds
-    /// checks. A zero-qubit state has `stride == 0` (which
-    /// `chunks_exact_mut` rejects), but then there is no bit any gate
-    /// could legally touch, so the traversal is a no-op.
+    /// Number of paths in the view.
+    pub(crate) fn num_paths(&self) -> usize {
+        self.amps.len()
+    }
+
+    /// The hot iteration idiom: each path's words and amplitude, in slab
+    /// order. `chunks_exact_mut` walks the word slab one path at a time
+    /// without per-path index arithmetic or bounds checks. A zero-qubit
+    /// state has `stride == 0` and no words at all; then there is no bit
+    /// any operation could legally touch, and the traversal is empty.
     #[inline]
-    fn each_path(&mut self, mut f: impl FnMut(&mut [u64], &mut Amplitude)) {
-        if self.stride == 0 {
-            return;
-        }
-        for (words, amp) in self
-            .words
-            .chunks_exact_mut(self.stride)
+    pub(crate) fn paths(&mut self) -> impl Iterator<Item = (&mut [u64], &mut Amplitude)> + '_ {
+        self.words
+            .chunks_exact_mut(self.stride.max(1))
             .zip(self.amps.iter_mut())
-        {
-            f(words, amp);
-        }
-    }
-
-    /// Applies `X` on qubit `i`: flips the bit in every path.
-    pub(crate) fn apply_x(&mut self, i: usize) {
-        self.each_path(|words, _| word_flip(words, i));
-    }
-
-    /// Applies `Z` on qubit `i`: negates the amplitude of every path with
-    /// the bit set.
-    pub(crate) fn apply_z(&mut self, i: usize) {
-        self.each_path(|words, amp| {
-            if word_get(words, i) {
-                *amp = -*amp;
-            }
-        });
-    }
-
-    /// Applies `Y = iXZ` on qubit `i`.
-    pub(crate) fn apply_y(&mut self, i: usize) {
-        self.each_path(|words, amp| {
-            let was_one = word_get(words, i);
-            word_flip(words, i);
-            *amp = if was_one {
-                amp.mul_neg_i()
-            } else {
-                amp.mul_i()
-            };
-        });
-    }
-
-    /// Applies a bit-level permutation `f` to every path in the view.
-    pub(crate) fn permute_paths(&mut self, mut f: impl FnMut(&mut PathBits<'_>)) {
-        let num_qubits = self.num_qubits;
-        self.each_path(|words, _| {
-            let mut bits = PathBits {
-                words,
-                len: num_qubits,
-            };
-            f(&mut bits);
-        });
     }
 }
 
@@ -424,7 +380,6 @@ impl PathState {
             words: &mut self.words,
             amps: &mut self.amps,
             stride: self.stride,
-            num_qubits: self.num_qubits,
         }
     }
 
@@ -437,7 +392,6 @@ impl PathState {
         let per = paths.div_ceil(chunks).max(1);
         let mut views = Vec::with_capacity(chunks);
         let stride = self.stride;
-        let num_qubits = self.num_qubits;
         let mut words_rest: &mut [u64] = &mut self.words;
         let mut amps_rest: &mut [Amplitude] = &mut self.amps;
         while !amps_rest.is_empty() {
@@ -450,7 +404,6 @@ impl PathState {
                 words: w,
                 amps: a,
                 stride,
-                num_qubits,
             });
         }
         views
@@ -494,31 +447,12 @@ impl PathState {
         if self.num_qubits != other.num_qubits {
             return Amplitude::ZERO;
         }
-        // Index the larger state once, then stream the smaller one in slab
-        // order. Only lookups touch the hash map — no hash iteration.
-        let (small, large, conj_small) = if self.num_paths() <= other.num_paths() {
-            (self, other, true)
+        // Accumulate in the smaller state's slab order.
+        if self.num_paths() <= other.num_paths() {
+            PathIndex::new(self).overlap(other, true)
         } else {
-            (other, self, false)
-        };
-        let index: HashMap<&[u64], Amplitude> = (0..large.num_paths())
-            .map(|p| (large.path_words(p), large.amps[p]))
-            .collect();
-        let mut acc = Amplitude::ZERO;
-        for p in 0..small.num_paths() {
-            let amp = small.amps[p];
-            let other_amp = index
-                .get(small.path_words(p))
-                .copied()
-                .unwrap_or(Amplitude::ZERO);
-            if conj_small {
-                // ⟨self|other⟩ = Σ conj(self) · other
-                acc += amp.conj() * other_amp;
-            } else {
-                acc += other_amp.conj() * amp;
-            }
+            PathIndex::new(other).overlap(self, false)
         }
-        acc
     }
 
     /// Query fidelity `|⟨self|other⟩|²` (paper Sec. 5 definition).
@@ -548,15 +482,18 @@ impl PathState {
     /// clean reference).
     pub fn reduced_fidelity(&self, other: &PathState, keep: &[Qubit]) -> f64 {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit counts differ");
+        self.reduced_reference(keep).fidelity(other)
+    }
+
+    /// The reference side of [`PathState::reduced_fidelity`] against
+    /// `self`, prepared once for any number of evaluations. Panics as
+    /// `reduced_fidelity` does on a bad `keep` or an unclean `self`.
+    pub(crate) fn reduced_reference(&self, keep: &[Qubit]) -> ReducedReference {
         let keep_idx: Vec<usize> = keep.iter().map(|q| q.index()).collect();
         for &i in &keep_idx {
             assert!(i < self.num_qubits, "kept qubit {i} out of range");
         }
-        let mut kept_mask = vec![false; self.num_qubits];
-        for &i in &keep_idx {
-            kept_mask[i] = true;
-        }
-        let rest_idx: Vec<usize> = (0..self.num_qubits).filter(|&i| !kept_mask[i]).collect();
+        let rest = Traced::new(self.num_qubits, &keep_idx);
 
         // Ideal amplitudes keyed by the kept-qubit substring; the rest
         // substring must be constant or the reduction is ill-defined.
@@ -565,7 +502,7 @@ impl PathState {
         let mut ideal_rest: Option<Vec<u64>> = None;
         for p in 0..self.num_paths() {
             let words = self.path_words(p);
-            let rest = extract_bits(words, &rest_idx);
+            let rest = rest.extract(words);
             match &ideal_rest {
                 None => ideal_rest = Some(rest),
                 Some(expected) => assert_eq!(
@@ -577,20 +514,11 @@ impl PathState {
                 .entry(extract_bits(words, &keep_idx))
                 .or_insert(Amplitude::ZERO) += self.amps[p];
         }
-
-        // Group the noisy paths by their traced-out substring and overlap
-        // each group with the ideal kept-state. An ordered map keeps the
-        // accumulation and final sum in deterministic (sorted) order.
-        let mut groups: BTreeMap<Vec<u64>, Amplitude> = BTreeMap::new();
-        for p in 0..other.num_paths() {
-            let words = other.path_words(p);
-            let kept = extract_bits(words, &keep_idx);
-            if let Some(ideal_amp) = ideal.get(&kept) {
-                let z = extract_bits(words, &rest_idx);
-                *groups.entry(z).or_insert(Amplitude::ZERO) += ideal_amp.conj() * other.amps[p];
-            }
+        ReducedReference {
+            keep_idx,
+            rest,
+            ideal,
         }
-        groups.values().map(|a| a.norm_sqr()).sum()
     }
 
     /// Probability that measuring `qubit` yields 1.
@@ -604,29 +532,49 @@ impl PathState {
 
     /// Applies `X` on `qubit`: flips the bit in every path.
     pub fn apply_x(&mut self, qubit: Qubit) {
-        self.as_paths_mut().apply_x(qubit.index());
+        let i = qubit.index();
+        for (words, _) in self.as_paths_mut().paths() {
+            word_flip(words, i);
+        }
     }
 
     /// Applies `Z` on `qubit`: negates the amplitude of every path with the
     /// bit set.
     pub fn apply_z(&mut self, qubit: Qubit) {
-        self.as_paths_mut().apply_z(qubit.index());
+        let i = qubit.index();
+        for (words, amp) in self.as_paths_mut().paths() {
+            if word_get(words, i) {
+                *amp = -*amp;
+            }
+        }
     }
 
     /// Applies `Y = iXZ` on `qubit`: flips the bit and multiplies by
     /// `+i` (|0⟩→|1⟩) or `−i` (|1⟩→|0⟩).
     pub fn apply_y(&mut self, qubit: Qubit) {
-        self.as_paths_mut().apply_y(qubit.index());
+        let i = qubit.index();
+        for (words, amp) in self.as_paths_mut().paths() {
+            let was_one = word_get(words, i);
+            word_flip(words, i);
+            *amp = if was_one {
+                amp.mul_neg_i()
+            } else {
+                amp.mul_i()
+            };
+        }
     }
 
-    /// Applies a bit-level permutation `f` to every path **in place** —
-    /// the hot loop of the simulator: no hashing, no allocation.
+    /// Applies a bit-level permutation `f` to every path **in place**:
+    /// no hashing, no allocation.
     ///
     /// `f` must be injective on the live paths (true for every reversible
     /// gate; checked in debug builds). For non-injective maps use
     /// [`PathState::from_parts`] to rebuild with accumulation.
-    pub fn permute_paths(&mut self, f: impl FnMut(&mut PathBits<'_>)) {
-        self.as_paths_mut().permute_paths(f);
+    pub fn permute_paths(&mut self, mut f: impl FnMut(&mut PathBits<'_>)) {
+        let len = self.num_qubits;
+        for (words, _) in self.as_paths_mut().paths() {
+            f(&mut PathBits { words, len });
+        }
         #[cfg(debug_assertions)]
         {
             let mut seen = std::collections::HashSet::with_capacity(self.num_paths());
@@ -684,6 +632,120 @@ impl PathState {
             }
         }
         value
+    }
+}
+
+/// A state's paths indexed by their packed bits: the prepared side of
+/// an overlap, reusable against any number of other states.
+#[derive(Debug)]
+pub(crate) struct PathIndex<'a> {
+    state: &'a PathState,
+    slot: HashMap<&'a [u64], usize>,
+}
+
+impl<'a> PathIndex<'a> {
+    pub(crate) fn new(state: &'a PathState) -> Self {
+        let slot = (0..state.num_paths())
+            .map(|p| (state.path_words(p), p))
+            .collect();
+        PathIndex { state, slot }
+    }
+
+    /// `⟨indexed|other⟩` when `indexed_is_bra`, else `⟨other|indexed⟩`,
+    /// accumulated term by term in the indexed state's slab order (a
+    /// path `other` lacks contributes a zero amplitude). Only lookups
+    /// touch the hash map — no hash iteration.
+    pub(crate) fn overlap(&self, other: &PathState, indexed_is_bra: bool) -> Amplitude {
+        let mut matched = vec![Amplitude::ZERO; self.state.num_paths()];
+        for q in 0..other.num_paths() {
+            if let Some(&p) = self.slot.get(other.path_words(q)) {
+                matched[p] = other.amps[q];
+            }
+        }
+        let mut acc = Amplitude::ZERO;
+        for (&mine, &theirs) in self.state.amps.iter().zip(&matched) {
+            if indexed_is_bra {
+                acc += mine.conj() * theirs;
+            } else {
+                acc += theirs.conj() * mine;
+            }
+        }
+        acc
+    }
+}
+
+/// The traced-out qubits of a reduced fidelity: every qubit not kept, in
+/// ascending order. [`Traced::extract`] packs them as `extract_bits`
+/// would, but visits only the set bits under a per-word mask, and on
+/// clean ancillas those are few.
+#[derive(Debug)]
+struct Traced {
+    /// Per word of a path, the bits of traced-out qubits.
+    mask: Vec<u64>,
+    /// For each traced-out qubit, its position in the packed substring.
+    rank: Vec<usize>,
+    len: usize,
+}
+
+impl Traced {
+    fn new(num_qubits: usize, keep_idx: &[usize]) -> Self {
+        let mut mask = vec![0u64; stride_for(num_qubits)];
+        for i in 0..num_qubits {
+            word_set(&mut mask, i, true);
+        }
+        for &i in keep_idx {
+            word_set(&mut mask, i, false);
+        }
+        let mut rank = vec![0; num_qubits];
+        let mut len = 0;
+        for (i, r) in rank.iter_mut().enumerate() {
+            if word_get(&mask, i) {
+                *r = len;
+                len += 1;
+            }
+        }
+        Traced { mask, rank, len }
+    }
+
+    fn extract(&self, words: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.len.div_ceil(64)];
+        for (w, (&word, &mask)) in words.iter().zip(&self.mask).enumerate() {
+            let mut bits = word & mask;
+            while bits != 0 {
+                let k = self.rank[w * 64 + bits.trailing_zeros() as usize];
+                out[k / 64] |= 1u64 << (k % 64);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// The ideal side of [`PathState::reduced_fidelity`]: the kept/traced
+/// qubit split and the ideal amplitudes keyed by kept substring.
+#[derive(Debug)]
+pub(crate) struct ReducedReference {
+    keep_idx: Vec<usize>,
+    rest: Traced,
+    ideal: HashMap<Vec<u64>, Amplitude>,
+}
+
+impl ReducedReference {
+    /// The reduced fidelity of `other` against the prepared reference.
+    pub(crate) fn fidelity(&self, other: &PathState) -> f64 {
+        // Group the noisy paths by their traced-out substring and overlap
+        // each group with the ideal kept-state. An ordered map keeps the
+        // accumulation and final sum in deterministic (sorted) order.
+        let mut groups: BTreeMap<Vec<u64>, Amplitude> = BTreeMap::new();
+        for p in 0..other.num_paths() {
+            let words = other.path_words(p);
+            let kept = extract_bits(words, &self.keep_idx);
+            if let Some(ideal_amp) = self.ideal.get(&kept) {
+                let z = self.rest.extract(words);
+                *groups.entry(z).or_insert(Amplitude::ZERO) += ideal_amp.conj() * other.amps[p];
+            }
+        }
+        groups.values().map(|a| a.norm_sqr()).sum()
     }
 }
 
@@ -888,6 +950,27 @@ mod tests {
     }
 
     #[test]
+    fn traced_extraction_packs_like_extract_bits() {
+        // 150 qubits (three words), kept qubits on both sides of each
+        // word boundary and out of order.
+        let keep = [64usize, 3, 127, 128, 0, 149];
+        let rest_idx: Vec<usize> = (0..150).filter(|i| !keep.contains(i)).collect();
+        let traced = Traced::new(150, &keep);
+        for seed in [0u64, 1, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+            let words = [
+                seed,
+                seed.rotate_left(17) ^ 0xF0F0,
+                seed.wrapping_mul(3) >> 42,
+            ];
+            assert_eq!(
+                traced.extract(&words),
+                extract_bits(&words, &rest_idx),
+                "seed {seed:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn reduced_fidelity_matches_full_when_ancillas_clean() {
         // Kept = all qubits → reduced fidelity equals full fidelity.
         let ideal = PathState::uniform_over(3, &[Qubit(0), Qubit(1)]);
@@ -965,13 +1048,14 @@ mod tests {
                 bits.flip(3);
             }
         });
-        for view in &mut chunked.chunk_views(3) {
-            view.apply_y(1);
-            view.permute_paths(|bits| {
-                if bits.get(0) {
-                    bits.flip(3);
-                }
-            });
+        // The same two gates as a tape, run view by view.
+        let gates = [
+            qram_circuit::Gate::y(Qubit(1)),
+            qram_circuit::Gate::cx(Qubit(0), Qubit(3)),
+        ];
+        let tape = crate::executor::Tape::lower(&gates, 5).unwrap();
+        for view in chunked.chunk_views(3) {
+            tape.run_on(view, &[]);
         }
         // Bit-identical, including slab order.
         let a: Vec<_> = chunked.iter().collect();

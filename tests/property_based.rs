@@ -212,13 +212,13 @@ mod slab_equivalence {
         bits[c.qubit.index()] == c.value
     }
 
-    /// Applies one classical-reversible gate (the `arb_gate` family) or
-    /// Pauli to every reference path.
+    /// Applies one classical-reversible gate or Pauli to every reference
+    /// path.
     fn ref_apply(gate: &Gate, state: &mut RefState) {
         let old = std::mem::take(state);
         for (mut bits, mut amp) in old {
             match gate {
-                Gate::X(q) => bits[q.index()] = !bits[q.index()],
+                Gate::X(q) | Gate::ClX(q) => bits[q.index()] = !bits[q.index()],
                 Gate::Y(q) => {
                     let was_one = bits[q.index()];
                     bits[q.index()] = !was_one;
@@ -233,7 +233,7 @@ mod slab_equivalence {
                         amp = -amp;
                     }
                 }
-                Gate::Cx { control, target } => {
+                Gate::Cx { control, target } | Gate::ClCx { control, target } => {
                     if ctrl(&bits, control) {
                         bits[target.index()] = !bits[target.index()];
                     }
@@ -243,7 +243,13 @@ mod slab_equivalence {
                         bits[target.index()] = !bits[target.index()];
                     }
                 }
-                Gate::Swap(a, b) => bits.swap(a.index(), b.index()),
+                Gate::Mcx { controls, target } => {
+                    if controls.iter().all(|c| ctrl(&bits, c)) {
+                        bits[target.index()] = !bits[target.index()];
+                    }
+                }
+                Gate::Swap(a, b) | Gate::ClSwap(a, b) => bits.swap(a.index(), b.index()),
+                Gate::Barrier => {}
                 Gate::Cswap { control, a, b } => {
                     if ctrl(&bits, control) {
                         bits.swap(a.index(), b.index());
@@ -297,14 +303,82 @@ mod slab_equivalence {
         }
     }
 
-    /// A random fault plan over `n` qubits and circuit length `len`.
-    fn arb_plan(n: usize, len: usize) -> impl Strategy<Value = Vec<Fault>> {
+    /// A random fault plan on `qubit`s over circuit length `len`.
+    fn arb_plan(
+        qubit: impl Strategy<Value = Qubit>,
+        len: usize,
+    ) -> impl Strategy<Value = Vec<Fault>> {
         prop::collection::vec(
-            (0..len + 1, 0..n as u32, 0usize..3).prop_map(|(idx, q, p)| {
-                Fault::new(idx, Qubit(q), [Pauli::X, Pauli::Y, Pauli::Z][p])
-            }),
+            (0..len + 1, qubit, 0usize..3)
+                .prop_map(|(idx, q, p)| Fault::new(idx, q, [Pauli::X, Pauli::Y, Pauli::Z][p])),
             0..6,
         )
+    }
+
+    /// Qubit count of the wide suite: three 64-bit words per path.
+    const WIDE_N: usize = 150;
+
+    /// The wide suite's qubits: both sides of each word boundary and a
+    /// few in between, so every gate and fault lands on some mix of all
+    /// three words while random circuits still interact.
+    const WIDE_POOL: [u32; 12] = [0, 1, 2, 63, 64, 65, 100, 127, 128, 129, 140, 149];
+
+    fn wide_qubit() -> impl Strategy<Value = Qubit> {
+        (0..WIDE_POOL.len()).prop_map(|i| Qubit(WIDE_POOL[i]))
+    }
+
+    /// A control of either polarity.
+    fn wide_control() -> impl Strategy<Value = Control> {
+        (wide_qubit(), any::<bool>()).prop_map(|(qubit, value)| Control { qubit, value })
+    }
+
+    /// Every gate kind the simulator runs, over [`WIDE_POOL`]: zero- and
+    /// one-controlled gates, `Mcx` with 0–5 controls and address
+    /// patterns, the classically-controlled tags and barriers. Controls
+    /// may repeat (even with opposite polarities, a gate that never
+    /// fires); a target never doubles as a control or swap operand, which
+    /// would merge paths.
+    fn arb_wide_gate() -> impl Strategy<Value = Gate> {
+        prop_oneof![
+            wide_qubit().prop_map(Gate::X),
+            wide_qubit().prop_map(Gate::Y),
+            wide_qubit().prop_map(Gate::Z),
+            wide_qubit().prop_map(Gate::ClX),
+            (wide_control(), wide_qubit())
+                .prop_filter("distinct", |(c, t)| c.qubit != *t)
+                .prop_map(|(control, target)| Gate::Cx { control, target }),
+            (wide_control(), wide_qubit())
+                .prop_filter("distinct", |(c, t)| c.qubit != *t)
+                .prop_map(|(control, target)| Gate::ClCx { control, target }),
+            (wide_control(), wide_control(), wide_qubit())
+                .prop_filter("distinct", |(a, b, t)| a.qubit != *t && b.qubit != *t)
+                .prop_map(|(a, b, target)| Gate::Ccx {
+                    controls: [a, b],
+                    target
+                }),
+            (prop::collection::vec(wide_control(), 0..6), wide_qubit())
+                .prop_filter("distinct", |(cs, t)| cs.iter().all(|c| c.qubit != *t))
+                .prop_map(|(controls, target)| Gate::Mcx { controls, target }),
+            (
+                prop::collection::vec(wide_qubit(), 1..5),
+                any::<u64>(),
+                wide_qubit()
+            )
+                .prop_filter("distinct", |(cs, _, t)| !cs.contains(t))
+                .prop_map(|(cs, pattern, t)| Gate::mcx_pattern(&cs, pattern, t)),
+            (wide_qubit(), wide_qubit())
+                .prop_filter("distinct", |(a, b)| a != b)
+                .prop_map(|(a, b)| Gate::Swap(a, b)),
+            (wide_qubit(), wide_qubit())
+                .prop_filter("distinct", |(a, b)| a != b)
+                .prop_map(|(a, b)| Gate::ClSwap(a, b)),
+            (wide_control(), wide_qubit(), wide_qubit())
+                .prop_filter("distinct", |(c, a, b)| {
+                    a != b && c.qubit != *a && c.qubit != *b
+                })
+                .prop_map(|(control, a, b)| Gate::Cswap { control, a, b }),
+            (0..1usize).prop_map(|_| Gate::Barrier),
+        ]
     }
 
     proptest! {
@@ -316,7 +390,7 @@ mod slab_equivalence {
         #[test]
         fn slab_matches_reference_for_any_chunk_count(
             circuit in arb_circuit(6, 30),
-            plan in arb_plan(6, 30),
+            plan in arb_plan((0..6u32).prop_map(Qubit), 30),
             addr_bits in 1usize..4,
         ) {
             let register: Vec<Qubit> = (0..addr_bits as u32).map(Qubit).collect();
@@ -334,6 +408,41 @@ mod slab_equivalence {
                 let mut chunked = input.clone();
                 run_with_faults(circuit.gates(), &mut chunked, &fault_plan, chunks).unwrap();
                 // Chunking must preserve slab order too, not just the set.
+                let a: Vec<_> = chunked.iter().collect();
+                let b: Vec<_> = serial.iter().collect();
+                prop_assert_eq!(a, b, "chunks={}", chunks);
+            }
+        }
+
+        /// The same exact agreement on states three words wide, over every
+        /// gate kind, with faults, for chunk counts {1, 2, 3, 5}: the
+        /// word/mask lowering must address each word, polarity and
+        /// control pattern exactly as the reference does per bit.
+        #[test]
+        fn wide_slab_matches_reference_for_every_gate_kind(
+            gates in prop::collection::vec(arb_wide_gate(), 0..40),
+            plan in arb_plan(wide_qubit(), 40),
+            register in prop::collection::vec(wide_qubit(), 1..5),
+        ) {
+            let mut address: Vec<Qubit> = Vec::new();
+            for q in register {
+                if !address.contains(&q) {
+                    address.push(q);
+                }
+            }
+            let input = PathState::uniform_over(WIDE_N, &address);
+            let fault_plan: FaultPlan = plan.iter().copied().collect();
+
+            let mut reference = ref_from(&input);
+            ref_run(&gates, &plan, &mut reference);
+
+            let mut serial = input.clone();
+            run_with_faults(&gates, &mut serial, &fault_plan, 1).unwrap();
+            assert_exact_match(&serial, &reference);
+
+            for chunks in [2usize, 3, 5] {
+                let mut chunked = input.clone();
+                run_with_faults(&gates, &mut chunked, &fault_plan, chunks).unwrap();
                 let a: Vec<_> = chunked.iter().collect();
                 let b: Vec<_> = serial.iter().collect();
                 prop_assert_eq!(a, b, "chunks={}", chunks);
