@@ -37,11 +37,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use qram_bench::report::{
-    apply_fleet_slo_gate, apply_gate, apply_path_gate, baseline_snapshot_dir, bench_results_dir,
+    apply_fleet_slo_gate, apply_gate, baseline_snapshot_dir, bench_results_dir,
     compare_against_baseline, find_repo_root, load_records, merge_baseline_records, parse_baseline,
-    path_engine_summary, serve_fleet_headline, serve_policy_headline, serve_summary_headline,
-    serve_telemetry_headline, shot_engine_summary, summary_json, write_baseline_snapshot,
-    GateOutcome,
+    serve_fleet_headline, serve_policy_headline, serve_summary_headline, serve_telemetry_headline,
+    speedup_summary, summary_json, write_baseline_snapshot, GateOutcome,
 };
 
 struct Args {
@@ -156,8 +155,8 @@ fn main() -> ExitCode {
     }
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shot_engine = shot_engine_summary(&records);
-    let path_engine = path_engine_summary(&records);
+    let shot_engine = speedup_summary(&records, "shot_engine/serial", "shot_engine/sharded");
+    let path_engine = speedup_summary(&records, "path_engine/serial", "path_engine/chunked");
     let summary = summary_json(
         &records,
         shot_engine.as_ref(),
@@ -180,17 +179,16 @@ fn main() -> ExitCode {
         records.len(),
         out_path.display()
     );
-    if let Some(s) = &shot_engine {
-        println!(
-            "bench_report: shot_engine serial {:.0} ns / sharded {:.0} ns → {:.2}x speedup ({threads} threads)",
-            s.serial_ns, s.sharded_ns, s.speedup
-        );
-    }
-    if let Some(p) = &path_engine {
-        println!(
-            "bench_report: path_engine serial {:.0} ns / chunked {:.0} ns → {:.2}x speedup ({threads} threads)",
-            p.serial_ns, p.chunked_ns, p.speedup
-        );
+    for (group, arm, summary) in [
+        ("shot_engine", "sharded", &shot_engine),
+        ("path_engine", "chunked", &path_engine),
+    ] {
+        if let Some(s) = summary {
+            println!(
+                "bench_report: {group} serial {:.0} ns / {arm} {:.0} ns → {:.2}x speedup ({threads} threads)",
+                s.serial_ns, s.parallel_ns, s.speedup
+            );
+        }
     }
 
     // Surface the serving summary alongside the micro-bench one when a
@@ -276,11 +274,23 @@ fn main() -> ExitCode {
     for (label, outcome) in [
         (
             "shot-engine",
-            apply_gate(shot_engine.as_ref(), baseline.as_ref(), threads),
+            apply_gate(
+                "shot_engine serial/sharded",
+                shot_engine.as_ref(),
+                baseline.as_ref(),
+                |b| b.shot_engine_speedup,
+                threads,
+            ),
         ),
         (
             "path-engine",
-            apply_path_gate(path_engine.as_ref(), baseline.as_ref(), threads),
+            apply_gate(
+                "path_engine serial/chunked",
+                path_engine.as_ref(),
+                baseline.as_ref(),
+                |b| b.path_speedup,
+                threads,
+            ),
         ),
         ("fleet-slo", apply_fleet_slo_gate(serve_json.as_deref())),
     ] {

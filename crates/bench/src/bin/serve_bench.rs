@@ -118,8 +118,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use qram_bench::report::{
-    find_repo_root, percentile, serve_arch_json, serve_sweep_json, ServeArchPoint, ServeLoadPoint,
-    SERVE_SCHEMA,
+    find_repo_root, latency_json, percentile, ServeArchPoint, ServeLoadPoint, SERVE_SCHEMA,
 };
 use qram_bench::{experiment_memory, print_row};
 use qram_core::{ArchSpec, DataEncoding, Memory, Optimizations};
@@ -131,6 +130,8 @@ use qram_service::{
     assign_specs_with, Admission, ArrivalProcess, CacheStats, QramService, QueryResult, QuerySpec,
     ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks, Workload,
 };
+use qram_telemetry::json::{self, hex, quote, Members};
+use qram_telemetry::members;
 use qram_telemetry::{fnv1a_64, host_wall, key, MetricsRegistry, SpanStage, TelemetryRecorder};
 
 struct Args {
@@ -813,42 +814,6 @@ fn arch_breakdown(runs: &[PointRun], specs: &[QuerySpec]) -> Vec<ServeArchPoint>
         .collect()
 }
 
-/// One `"key": value` member of a summary object; `value` is raw JSON.
-type Field = (&'static str, String);
-
-/// `fields!["key" => value, ...]`: summary members, each value rendered
-/// through `Display` (strings go through [`quoted`] first).
-macro_rules! fields {
-    ($($key:literal => $value:expr),* $(,)?) => {
-        vec![$(($key, $value.to_string())),*]
-    };
-}
-
-/// Renders `fields` as a JSON object whose members sit two spaces
-/// deeper than `indent` and whose closing brace sits at `indent`.
-fn json_object(fields: &[Field], indent: &str) -> String {
-    let members: Vec<String> = fields
-        .iter()
-        .map(|(key, value)| format!("{indent}  \"{key}\": {value}"))
-        .collect();
-    format!("{{\n{}\n{indent}}}", members.join(",\n"))
-}
-
-/// Renders `rows` (each a list of object members) as a JSON array of
-/// one-line objects.
-fn json_rows(rows: impl Iterator<Item = String>) -> String {
-    let rows: Vec<String> = rows.map(|row| format!("\n    {{{row}}}")).collect();
-    format!("[{}\n  ]", rows.join(","))
-}
-
-fn quoted(value: impl std::fmt::Display) -> String {
-    format!("\"{value}\"")
-}
-
-fn hex(digest: u64) -> String {
-    format!("\"{digest:016x}\"")
-}
-
 /// The flat `telemetry` section of the summary: stage-histogram
 /// percentiles, admission flow conservation, release-policy counters,
 /// and the trace/metrics digests. Every key is globally unique within
@@ -857,7 +822,7 @@ fn hex(digest: u64) -> String {
 fn telemetry_json(telemetry: &MetricsRegistry, trace_digest: u64) -> String {
     let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q));
     let c = |name: &str| telemetry.counter(name);
-    let fields = fields![
+    members![
         "trace_digest" => hex(trace_digest),
         "telemetry_digest" => hex(telemetry.digest()),
         "arrivals" => c(key::ADMISSION_ACCEPTED) + c(key::ADMISSION_SHED) + c(key::ADMISSION_REJECTED),
@@ -881,8 +846,8 @@ fn telemetry_json(telemetry: &MetricsRegistry, trace_digest: u64) -> String {
         "policy_age_cap_forced" => c(key::POLICY_AGE_CAP_FORCED),
         "sim_shots" => c(key::SIM_SHOTS),
         "sim_gate_applications" => c(key::SIM_GATES),
-    ];
-    json_object(&fields, "  ")
+    ]
+    .block("  ")
 }
 
 /// Prints the human-readable stage breakdown plus the digest lines CI
@@ -917,27 +882,25 @@ fn write_file(path: &Path, what: &str, contents: &str) {
 /// Writes the full trace export: one canonical span log per point plus
 /// the merged metrics registry.
 fn write_trace(path: &Path, mode: &str, runs: &[PointRun], merged: &MetricsRegistry, digest: u64) {
-    let sections: Vec<String> = runs
-        .iter()
-        .map(|run| {
-            let recorder = run.target.recorder();
-            format!(
-                "\n    {{\n      \"label\": \"{}\",\n      \"trace_digest\": \"{:016x}\",\n      \"spans\":\n{}\n    }}",
-                run.label,
-                recorder.trace_digest(),
-                recorder.tracer().to_json("      ")
-            )
-        })
-        .collect();
-    let body = format!(
-        "{{\n  \"schema\": \"qram-bench/trace/v1\",\n  \"mode\": \"{mode}\",\n  \
-         \"trace_digest\": \"{digest:016x}\",\n  \"telemetry_digest\": \"{:016x}\",\n  \
-         \"sections\": [{}\n  ],\n  \"metrics\":\n{}\n}}\n",
-        merged.digest(),
-        sections.join(","),
-        merged.to_json("  ")
-    );
-    write_file(path, "trace", &body);
+    // `spans` and `metrics` are laid out on the lines below their keys.
+    let sections = runs.iter().map(|run| {
+        let recorder = run.target.recorder();
+        members![
+            "label" => quote(&run.label),
+            "trace_digest" => hex(recorder.trace_digest()),
+            "spans" => format!("\n{}", recorder.tracer().to_json("      ")),
+        ]
+        .block("    ")
+    });
+    let trace = members![
+        "schema" => quote("qram-bench/trace/v1"),
+        "mode" => quote(mode),
+        "trace_digest" => hex(digest),
+        "telemetry_digest" => hex(merged.digest()),
+        "sections" => json::rows(sections, "  "),
+        "metrics" => format!("\n{}", merged.to_json("  ")),
+    ];
+    write_file(path, "trace", &format!("{}\n", trace.block("")));
 }
 
 fn main() {
@@ -1015,25 +978,25 @@ fn main() {
 
     // The header every summary shares. The mode-only members sit where
     // the schema places them, so every mode's summary keeps its layout.
-    let mut fields = fields![
-        "schema" => quoted(SERVE_SCHEMA),
-        "mode" => quoted(&args.mode),
-        "arch" => quoted(&args.arch),
-        "workload" => quoted(workload.name()),
+    let mut fields = members![
+        "schema" => quote(SERVE_SCHEMA),
+        "mode" => quote(&args.mode),
+        "arch" => quote(&args.arch),
+        "workload" => quote(workload.name()),
     ];
     if !closed {
-        fields.extend(fields!["arrivals" => quoted(&args.arrivals)]);
+        fields.push("arrivals", quote(&args.arrivals));
     }
-    fields.extend(fields!["spec_mix" => quoted(mix_name(&args)), "address_width" => n]);
+    fields.append(members!["spec_mix" => quote(&mix_name(&args)), "address_width" => n]);
     if closed {
-        fields.extend(fields![
+        fields.append(members![
             "requests" => runs[0].results.len(),
             "batches" => runs[0].batches().count(),
         ]);
     } else {
-        fields.extend(fields!["requests_per_point" => requests]);
+        fields.push("requests_per_point", requests);
     }
-    fields.extend(fields![
+    fields.append(members![
         "specs" => specs.len(),
         "shots" => shots,
         "seed" => args.seed,
@@ -1041,26 +1004,26 @@ fn main() {
         "path_chunks" => args.path_chunks,
     ]);
     if !closed {
-        fields.extend(fields![
+        fields.append(members![
             "queue_capacity" => args.queue,
             "deadline_ns" => args.deadline,
             "batch_limit" => args.batch,
         ]);
     }
-    fields.extend(fields![
-        "release_policy" => quoted(release.label()),
+    fields.append(members![
+        "release_policy" => quote(release.label()),
         "age_cap_ns" => policy_age_cap(release),
         "qubit_budget" => budget_field(&args),
     ]);
     if !closed {
-        fields.extend(fields!["capacity_rps" => format!("{capacity_rps:.1}")]);
+        fields.push("capacity_rps", format!("{capacity_rps:.1}"));
     }
-    fields.extend(fields!["results_digest" => hex(digest)]);
+    fields.push("results_digest", hex(digest));
 
     let telemetry_section = || telemetry_json(&telemetry, trace_digest);
     if closed {
         closed_sections(&sweep, &runs[0], &per_arch, &mut fields);
-        fields.extend(fields!["telemetry" => telemetry_section()]);
+        fields.push("telemetry", telemetry_section());
     } else {
         print_sweep_header(&sweep);
         for run in &runs {
@@ -1074,7 +1037,8 @@ fn main() {
     } else if !closed {
         policy_sections(&sweep, &runs, &mut fields, telemetry_section());
     }
-    fields.extend(fields!["per_arch" => serve_arch_json(&per_arch)]);
+    let per_arch = per_arch.iter().map(ServeArchPoint::to_json);
+    fields.push("per_arch", json::rows(per_arch, "  "));
 
     let out = args.out.clone().unwrap_or_else(|| {
         std::env::current_dir()
@@ -1083,7 +1047,7 @@ fn main() {
             .unwrap_or_else(|| PathBuf::from("."))
             .join("BENCH_SERVE.json")
     });
-    write_file(&out, "summary", &format!("{}\n", json_object(&fields, "")));
+    write_file(&out, "summary", &format!("{}\n", fields.block("")));
     if let Some(path) = &args.trace_out {
         write_trace(path, &args.mode, &runs, &telemetry, trace_digest);
     }
@@ -1096,12 +1060,12 @@ fn closed_sections(
     sweep: &Sweep<'_>,
     run: &PointRun,
     per_arch: &[ServeArchPoint],
-    fields: &mut Vec<Field>,
+    fields: &mut Members,
 ) {
     let args = sweep.args;
     let point = &run.point;
     let count = run.results.len();
-    let [p50, p90, p99, max] = point.latency_ns;
+    let [p50, p90, p99, _] = point.latency_ns;
     let wall_rps = count as f64 / run.wall.as_secs_f64().max(1e-9);
     let mean_fidelity = mean(run.results.iter().map(|r| r.result.fidelity.mean), count);
     let cache = run.target.cache_stats();
@@ -1117,22 +1081,23 @@ fn closed_sections(
         run.workers,
         args.shot_threads,
     );
-    let rows = fields![
-        "metric" => "value",
-        "requests" => count,
-        "batches" => run.batches().count(),
-        "release_policy" => release_policy(args).label(),
-        "virtual_rps" => format!("{:.1}", point.achieved_rps),
-        "wall_rps" => format!("{wall_rps:.1}"),
-        "latency_p50_us" => format!("{:.1}", p50 / 1e3),
-        "latency_p90_us" => format!("{:.1}", p90 / 1e3),
-        "latency_p99_us" => format!("{:.1}", p99 / 1e3),
-        "mean_queue_wait_us" => format!("{:.1}", point.mean_queue_wait_ns / 1e3),
-        "cache_hits" => cache.hits,
-        "cache_misses" => cache.misses,
-        "cache_evictions" => cache.evictions,
-        "cache_hit_rate" => format!("{:.3}", cache.hit_rate()),
-        "mean_fidelity" => format!("{mean_fidelity:.4}"),
+    let queue_wait_us = point.mean_queue_wait_ns / 1e3;
+    let rows = [
+        ("metric", "value".to_string()),
+        ("requests", count.to_string()),
+        ("batches", run.batches().count().to_string()),
+        ("release_policy", release_policy(args).label().to_string()),
+        ("virtual_rps", format!("{:.1}", point.achieved_rps)),
+        ("wall_rps", format!("{wall_rps:.1}")),
+        ("latency_p50_us", format!("{:.1}", p50 / 1e3)),
+        ("latency_p90_us", format!("{:.1}", p90 / 1e3)),
+        ("latency_p99_us", format!("{:.1}", p99 / 1e3)),
+        ("mean_queue_wait_us", format!("{queue_wait_us:.1}")),
+        ("cache_hits", cache.hits.to_string()),
+        ("cache_misses", cache.misses.to_string()),
+        ("cache_evictions", cache.evictions.to_string()),
+        ("cache_hit_rate", format!("{:.3}", cache.hit_rate())),
+        ("mean_fidelity", format!("{mean_fidelity:.4}")),
     ];
     for (metric, value) in rows {
         print_row(&[metric.into(), value]);
@@ -1149,14 +1114,16 @@ fn closed_sections(
             ),
         ]);
     }
-    let (hits, misses, evictions, hit_rate) =
-        (cache.hits, cache.misses, cache.evictions, cache.hit_rate());
-    fields.extend(fields![
+    let cache_json = members![
+        "hits" => cache.hits, "misses" => cache.misses, "evictions" => cache.evictions,
+        "hit_rate" => format!("{:.4}", cache.hit_rate()),
+    ];
+    fields.append(members![
         "virtual_rps" => format!("{:.1}", point.achieved_rps),
         "wall_rps" => format!("{wall_rps:.1}"),
-        "latency_ns" => format!("{{\"p50\": {p50:.0}, \"p90\": {p90:.0}, \"p99\": {p99:.0}, \"max\": {max:.0}}}"),
+        "latency_ns" => latency_json(&point.latency_ns),
         "mean_queue_wait_ns" => format!("{:.1}", point.mean_queue_wait_ns),
-        "cache" => format!("{{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \"hit_rate\": {hit_rate:.4}}}"),
+        "cache" => cache_json.inline(),
         "mean_fidelity" => format!("{mean_fidelity:.6}"),
     ]);
 }
@@ -1205,11 +1172,6 @@ fn print_load_row(point: &ServeLoadPoint) {
     ]);
 }
 
-fn sweep_json(runs: &[PointRun]) -> String {
-    let points: Vec<ServeLoadPoint> = runs.iter().map(|r| r.point.clone()).collect();
-    serve_sweep_json(&points)
-}
-
 /// The bare open-loop members: telemetry, then a head-to-head
 /// release-policy comparison at the swept load nearest the modeled
 /// capacity (load 1.0) — below it queues barely form, far above it
@@ -1218,7 +1180,7 @@ fn sweep_json(runs: &[PointRun]) -> String {
 fn policy_sections(
     sweep: &Sweep<'_>,
     runs: &[PointRun],
-    fields: &mut Vec<Field>,
+    fields: &mut Members,
     telemetry_section: String,
 ) {
     let args = sweep.args;
@@ -1244,7 +1206,7 @@ fn policy_sections(
         format!("oldest-first {o_compile:.1} vs cache-affine {a_compile:.1}"),
     ]);
     let affine_telemetry = affine.target.telemetry();
-    let compare = fields![
+    let compare = members![
         "compare_load" => format!("{compare_load:.2}"),
         "p50_oldest_first_ns" => format!("{:.0}", o.latency_ns[0]),
         "p99_oldest_first_ns" => format!("{:.0}", o.latency_ns[2]),
@@ -1259,10 +1221,10 @@ fn policy_sections(
         "compare_cache_affine_fires" => affine_telemetry.counter(key::POLICY_CACHE_AFFINE_FIRES),
         "compare_age_cap_forced" => affine_telemetry.counter(key::POLICY_AGE_CAP_FORCED),
     ];
-    fields.extend(fields![
+    fields.append(members![
         "telemetry" => telemetry_section,
-        "policy_compare" => json_object(&compare, "  "),
-        "sweep" => sweep_json(runs),
+        "policy_compare" => compare.block("  "),
+        "sweep" => json::rows(runs.iter().map(|run| run.point.to_json()), "  "),
     ]);
 }
 
@@ -1274,7 +1236,7 @@ fn fleet_sections(
     sweep: &Sweep<'_>,
     runs: &[PointRun],
     telemetry: &MetricsRegistry,
-    fields: &mut Vec<Field>,
+    fields: &mut Members,
     telemetry_section: String,
 ) {
     let args = sweep.args;
@@ -1351,7 +1313,7 @@ fn fleet_sections(
         let stats = run.target.fleet_stats();
         stats.per_class.get(label).map_or(0, |s| s.shed)
     };
-    let slo_compare = fields![
+    let slo_compare = members![
         "slo_compare_load" => format!("{compare_load:.2}"),
         "interactive_p99_deadline_priority_ns" => format!("{dp_p99:.0}"),
         "interactive_p99_tail_drop_ns" => format!("{td_p99:.0}"),
@@ -1365,11 +1327,11 @@ fn fleet_sections(
         "digest_tail_drop" => hex(td.results_digest()),
     ];
 
-    let fleet = fields![
+    let fleet = members![
         "fleet_shards" => args.fleet,
         "fleet_tenants" => args.tenants,
         "fleet_front_capacity" => args.front_capacity,
-        "fleet_shed_policy" => quoted(shed_policy(args).label()),
+        "fleet_shed_policy" => quote(shed_policy(args).label()),
         "fleet_replication" => args.replication,
         "fleet_pin_planned" => args.pin_planned,
         "fleet_slo_deadline_ns" => args.slo_deadline,
@@ -1384,31 +1346,33 @@ fn fleet_sections(
         "fleet_p99_ns" => format!("{p99:.0}"),
     ];
     let per_shard = shards.iter().enumerate().map(|(sid, (completed, c))| {
-        format!(
-            "\"shard\": {sid}, \"completed\": {completed}, \"cache_hits\": {}, \"cache_misses\": {}",
-            c.hits, c.misses
-        )
+        members![
+            "shard" => sid, "completed" => completed,
+            "cache_hits" => c.hits, "cache_misses" => c.misses,
+        ]
+        .inline()
     });
     let per_tenant = tenants.iter().map(|(t, s)| {
-        format!(
-            "\"tenant\": {}, \"completed\": {}, \"shed\": {}",
-            t.0, s.completed, s.shed
-        )
+        members!["tenant" => t.0, "completed" => s.completed, "shed" => s.shed].inline()
     });
     let per_slo = classes.iter().map(|(label, s)| {
-        format!(
-            "\"slo\": \"{label}\", \"completed\": {}, \"shed\": {}, \"deadline_met\": {}, \"deadline_missed\": {}",
-            s.completed, s.shed, s.deadline_met, s.deadline_missed
-        )
+        members![
+            "slo" => quote(label),
+            "completed" => s.completed,
+            "shed" => s.shed,
+            "deadline_met" => s.deadline_met,
+            "deadline_missed" => s.deadline_missed,
+        ]
+        .inline()
     });
-    fields.extend(fields![
-        "fleet" => json_object(&fleet, "  "),
+    fields.append(members![
+        "fleet" => fleet.block("  "),
         "telemetry" => telemetry_section,
-        "slo_compare" => json_object(&slo_compare, "  "),
-        "sweep" => sweep_json(runs),
-        "per_shard" => json_rows(per_shard),
-        "per_tenant" => json_rows(per_tenant),
-        "per_slo" => json_rows(per_slo),
+        "slo_compare" => slo_compare.block("  "),
+        "sweep" => json::rows(runs.iter().map(|run| run.point.to_json()), "  "),
+        "per_shard" => json::rows(per_shard, "  "),
+        "per_tenant" => json::rows(per_tenant, "  "),
+        "per_slo" => json::rows(per_slo, "  "),
     ]);
 }
 

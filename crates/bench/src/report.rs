@@ -4,15 +4,18 @@
 //! The vendored `criterion` stub writes one JSON file per benchmark to
 //! `<target>/bench/` (fields `name`, `mean_ns`, `iters`). This module
 //! loads those files, condenses them into the repo-level `BENCH_2.json`
-//! summary, and implements the CI regression gate for the shot engine:
-//! the measured serial/sharded speedup must not regress more than a
-//! tolerance against the checked-in baseline
+//! summary, and implements the CI regression gate for the shot and path
+//! engines: each measured serial/parallel speedup must not regress more
+//! than a tolerance against the checked-in baseline
 //! (`.github/bench-baseline.json`). The gate is *ratio*-based on purpose —
 //! absolute ns vary wildly across runners, the parallel speedup does not.
 //!
 //! See the `bench_report` binary for the CLI wrapping this module.
 
 use std::path::{Path, PathBuf};
+
+use qram_telemetry::json::{self, quote};
+use qram_telemetry::members;
 
 /// One benchmark's result as written by the criterion stub.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,19 +107,28 @@ pub fn load_records(dir: &Path) -> Vec<BenchRecord> {
     records
 }
 
-/// The shot-engine headline numbers extracted from a result set.
+/// The headline numbers of a serial/parallel bench pair: the shot engine
+/// (`shot_engine/serial` vs `shot_engine/sharded`, threads = 1 vs all
+/// cores), or the path engine's wide-address (`m = 10`) workload
+/// (`path_engine/serial` vs `path_engine/chunked`, one path chunk vs one
+/// chunk per core, shot threads pinned to 1 in both).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShotEngineSummary {
-    /// Mean ns/iter of `shot_engine/serial` (threads = 1).
+pub struct SpeedupSummary {
+    /// Mean ns/iter of the serial arm.
     pub serial_ns: f64,
-    /// Mean ns/iter of `shot_engine/sharded` (threads = all cores).
-    pub sharded_ns: f64,
-    /// Throughput ratio `serial_ns / sharded_ns`.
+    /// Mean ns/iter of the parallel arm.
+    pub parallel_ns: f64,
+    /// Throughput ratio `serial_ns / parallel_ns`.
     pub speedup: f64,
 }
 
-/// Extracts the shot-engine serial/sharded pair from `records`.
-pub fn shot_engine_summary(records: &[BenchRecord]) -> Option<ShotEngineSummary> {
+/// Extracts the pair labelled `serial` and `parallel` from `records`;
+/// `None` unless both are present with a positive mean.
+pub fn speedup_summary(
+    records: &[BenchRecord],
+    serial: &str,
+    parallel: &str,
+) -> Option<SpeedupSummary> {
     let mean = |name: &str| {
         records
             .iter()
@@ -124,43 +136,12 @@ pub fn shot_engine_summary(records: &[BenchRecord]) -> Option<ShotEngineSummary>
             .map(|r| r.mean_ns)
             .filter(|&ns| ns > 0.0)
     };
-    let serial_ns = mean("shot_engine/serial")?;
-    let sharded_ns = mean("shot_engine/sharded")?;
-    Some(ShotEngineSummary {
+    let serial_ns = mean(serial)?;
+    let parallel_ns = mean(parallel)?;
+    Some(SpeedupSummary {
         serial_ns,
-        sharded_ns,
-        speedup: serial_ns / sharded_ns,
-    })
-}
-
-/// The path-parallel headline numbers extracted from a result set: the
-/// `path_engine` group's wide-address (`m = 10`) workload run with one
-/// path chunk vs one chunk per core, shot threads pinned to 1 in both.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathEngineSummary {
-    /// Mean ns/iter of `path_engine/serial` (path_chunks = 1).
-    pub serial_ns: f64,
-    /// Mean ns/iter of `path_engine/chunked` (path_chunks = auto).
-    pub chunked_ns: f64,
-    /// Throughput ratio `serial_ns / chunked_ns`.
-    pub speedup: f64,
-}
-
-/// Extracts the path-engine serial/chunked pair from `records`.
-pub fn path_engine_summary(records: &[BenchRecord]) -> Option<PathEngineSummary> {
-    let mean = |name: &str| {
-        records
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.mean_ns)
-            .filter(|&ns| ns > 0.0)
-    };
-    let serial_ns = mean("path_engine/serial")?;
-    let chunked_ns = mean("path_engine/chunked")?;
-    Some(PathEngineSummary {
-        serial_ns,
-        chunked_ns,
-        speedup: serial_ns / chunked_ns,
+        parallel_ns,
+        speedup: serial_ns / parallel_ns,
     })
 }
 
@@ -172,39 +153,32 @@ pub fn path_engine_summary(records: &[BenchRecord]) -> Option<PathEngineSummary>
 /// near 1.0. CI's multi-core bench runner is the source of truth.
 pub fn summary_json(
     records: &[BenchRecord],
-    shot_engine: Option<&ShotEngineSummary>,
-    path_engine: Option<&PathEngineSummary>,
+    shot_engine: Option<&SpeedupSummary>,
+    path_engine: Option<&SpeedupSummary>,
     threads_available: usize,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"qram-bench/bench-summary/v3\",\n");
-    out.push_str(&format!("  \"threads_available\": {threads_available},\n"));
-    match shot_engine {
-        Some(s) => out.push_str(&format!(
-            "  \"shot_engine\": {{\"serial_ns\": {:.1}, \"sharded_ns\": {:.1}, \"speedup\": {:.3}}},\n",
-            s.serial_ns, s.sharded_ns, s.speedup
-        )),
-        None => out.push_str("  \"shot_engine\": null,\n"),
-    }
-    match path_engine {
-        Some(p) => out.push_str(&format!(
-            "  \"path_speedup\": {{\"serial_ns\": {:.1}, \"chunked_ns\": {:.1}, \"speedup\": {:.3}}},\n",
-            p.serial_ns, p.chunked_ns, p.speedup
-        )),
-        None => out.push_str("  \"path_speedup\": null,\n"),
-    }
-    out.push_str("  \"benches\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}}}{comma}\n",
-            r.name.replace('\\', "\\\\").replace('"', "\\\""),
-            r.mean_ns,
-            r.iters
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    // The parallel arm's key names its knob: `sharded_ns`, `chunked_ns`.
+    let section = |summary: Option<&SpeedupSummary>, parallel_key| {
+        summary.map_or("null".into(), |s| {
+            let mut section = members!["serial_ns" => format!("{:.1}", s.serial_ns)];
+            section.push(parallel_key, format!("{:.1}", s.parallel_ns));
+            section
+                .push("speedup", format!("{:.3}", s.speedup))
+                .inline()
+        })
+    };
+    let benches = records.iter().map(|r| {
+        let mean_ns = format!("{:.1}", r.mean_ns);
+        members!["name" => quote(&r.name), "mean_ns" => mean_ns, "iters" => r.iters].inline()
+    });
+    let summary = members![
+        "schema" => quote("qram-bench/bench-summary/v3"),
+        "threads_available" => threads_available,
+        "shot_engine" => section(shot_engine, "sharded_ns"),
+        "path_speedup" => section(path_engine, "chunked_ns"),
+        "benches" => json::rows(benches, "  "),
+    ];
+    format!("{}\n", summary.block(""))
 }
 
 /// The `q`-th percentile (`0 ≤ q ≤ 100`) of `values`, by nearest rank on
@@ -253,43 +227,34 @@ pub struct ServeLoadPoint {
     pub cache_hit_rate: f64,
 }
 
+/// Latency percentiles `[p50, p90, p99, max]` in ns as a one-line JSON
+/// object, each rounded to a whole ns.
+pub fn latency_json(latency_ns: &[f64; 4]) -> String {
+    let [p50, p90, p99, max] = latency_ns.map(|ns| format!("{ns:.0}"));
+    members!["p50" => p50, "p90" => p90, "p99" => p99, "max" => max].inline()
+}
+
 impl ServeLoadPoint {
     /// Renders the point as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"offered_rps\": {:.1}, \"load_factor\": {:.3}, \"offered\": {}, \
-             \"completed\": {}, \"shed\": {}, \"achieved_rps\": {:.1}, \
-             \"latency_ns\": {{\"p50\": {:.0}, \"p90\": {:.0}, \"p99\": {:.0}, \"max\": {:.0}}}, \
-             \"breakdown_ns\": {{\"queue_wait\": {:.1}, \"compile\": {:.1}, \"execute\": {:.1}}}, \
-             \"cache_hit_rate\": {:.4}}}",
-            self.offered_rps,
-            self.load_factor,
-            self.offered,
-            self.completed,
-            self.shed,
-            self.achieved_rps,
-            self.latency_ns[0],
-            self.latency_ns[1],
-            self.latency_ns[2],
-            self.latency_ns[3],
-            self.mean_queue_wait_ns,
-            self.mean_compile_ns,
-            self.mean_execute_ns,
-            self.cache_hit_rate,
-        )
+        let breakdown = members![
+            "queue_wait" => format!("{:.1}", self.mean_queue_wait_ns),
+            "compile" => format!("{:.1}", self.mean_compile_ns),
+            "execute" => format!("{:.1}", self.mean_execute_ns),
+        ];
+        members![
+            "offered_rps" => format!("{:.1}", self.offered_rps),
+            "load_factor" => format!("{:.3}", self.load_factor),
+            "offered" => self.offered,
+            "completed" => self.completed,
+            "shed" => self.shed,
+            "achieved_rps" => format!("{:.1}", self.achieved_rps),
+            "latency_ns" => latency_json(&self.latency_ns),
+            "breakdown_ns" => breakdown.inline(),
+            "cache_hit_rate" => format!("{:.4}", self.cache_hit_rate),
+        ]
+        .inline()
     }
-}
-
-/// Renders a throughput-vs-offered-load sweep as an indented JSON array
-/// fragment (for embedding in the `BENCH_SERVE.json` summary).
-pub fn serve_sweep_json(points: &[ServeLoadPoint]) -> String {
-    let mut out = String::from("[\n");
-    for (i, point) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", point.to_json()));
-    }
-    out.push_str("  ]");
-    out
 }
 
 /// Per-architecture slice of a serving run: the schema-v3 breakdown
@@ -328,36 +293,18 @@ impl ServeArchPoint {
 
     /// Renders the breakdown as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"arch\": \"{}\", \"requests\": {}, \"virtual_rps\": {:.1}, \
-             \"latency_ns\": {{\"p50\": {:.0}, \"p90\": {:.0}, \"p99\": {:.0}, \"max\": {:.0}}}, \
-             \"mean_execute_ns\": {:.1}, \"batches\": {}, \"compiled\": {}, \
-             \"batch_hit_rate\": {:.4}}}",
-            self.arch,
-            self.requests,
-            self.virtual_rps,
-            self.latency_ns[0],
-            self.latency_ns[1],
-            self.latency_ns[2],
-            self.latency_ns[3],
-            self.mean_execute_ns,
-            self.batches,
-            self.compiled,
-            self.batch_hit_rate(),
-        )
+        members![
+            "arch" => quote(&self.arch),
+            "requests" => self.requests,
+            "virtual_rps" => format!("{:.1}", self.virtual_rps),
+            "latency_ns" => latency_json(&self.latency_ns),
+            "mean_execute_ns" => format!("{:.1}", self.mean_execute_ns),
+            "batches" => self.batches,
+            "compiled" => self.compiled,
+            "batch_hit_rate" => format!("{:.4}", self.batch_hit_rate()),
+        ]
+        .inline()
     }
-}
-
-/// Renders the per-architecture breakdown as an indented JSON array
-/// fragment (for the schema-v3 `BENCH_SERVE.json` summary).
-pub fn serve_arch_json(points: &[ServeArchPoint]) -> String {
-    let mut out = String::from("[\n");
-    for (i, point) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", point.to_json()));
-    }
-    out.push_str("  ]");
-    out
 }
 
 /// The only `BENCH_SERVE.json` schema the headline readers accept.
@@ -570,9 +517,10 @@ pub fn write_baseline_snapshot(dir: &Path, records: &[BenchRecord]) -> std::io::
     }
     std::fs::create_dir_all(dir)?;
     for r in records {
+        // The stub's own compact layout, not an inline object.
         let json = format!(
-            "{{\"name\":\"{}\",\"mean_ns\":{:.3},\"iters\":{}}}\n",
-            r.name.replace('\\', "\\\\").replace('"', "\\\""),
+            "{{\"name\":{},\"mean_ns\":{:.3},\"iters\":{}}}\n",
+            quote(&r.name),
             r.mean_ns,
             r.iters
         );
@@ -607,88 +555,55 @@ pub fn parse_baseline(json: &str) -> Option<Baseline> {
 pub enum GateOutcome {
     /// Speedup is within tolerance of the baseline.
     Pass {
-        /// Measured serial/sharded speedup.
+        /// Measured speedup.
         speedup: f64,
         /// Minimum accepted speedup (`baseline · (1 − tolerance)`).
         floor: f64,
     },
     /// Speedup regressed below the tolerance floor.
     Fail {
-        /// Measured serial/sharded speedup.
+        /// Measured speedup.
         speedup: f64,
         /// Minimum accepted speedup (`baseline · (1 − tolerance)`).
         floor: f64,
     },
     /// The gate could not run and is skipped gracefully (no baseline, no
-    /// shot-engine results, or a single-core machine where the parallel
-    /// speedup is physically unobservable).
+    /// bench results, or a single-core machine where the parallel speedup
+    /// is physically unobservable).
     Skip(String),
 }
 
-/// Shared ratio check: measured speedup against `reference · (1 − tol)`,
-/// skipping on single-core machines where the parallel arm degenerates
-/// to the serial one.
-fn gate_ratio(
-    speedup: f64,
-    reference: f64,
-    tolerance: f64,
+/// Applies the ratio-based regression gate to a serial/parallel pair:
+/// its speedup must stay within the baseline's tolerance of
+/// `reference(baseline)`, i.e. at least `reference · (1 − tolerance)`.
+/// Skips gracefully when there is no baseline, no results for the pair
+/// (`pair` names them in the reason), or only one core, where the
+/// parallel arm degenerates to the serial one.
+pub fn apply_gate(
+    pair: &str,
+    summary: Option<&SpeedupSummary>,
+    baseline: Option<&Baseline>,
+    reference: fn(&Baseline) -> f64,
     threads_available: usize,
 ) -> GateOutcome {
+    let Some(baseline) = baseline else {
+        return GateOutcome::Skip("no checked-in baseline".into());
+    };
+    let Some(summary) = summary else {
+        return GateOutcome::Skip(format!("no {pair} results"));
+    };
     if threads_available < 2 {
         return GateOutcome::Skip(format!(
             "single-core machine ({threads_available} thread available): parallel speedup not observable"
         ));
     }
-    let floor = reference * (1.0 - tolerance);
+    let speedup = summary.speedup;
+    let floor = reference(baseline) * (1.0 - baseline.tolerance);
     if speedup >= floor {
         GateOutcome::Pass { speedup, floor }
     } else {
         GateOutcome::Fail { speedup, floor }
     }
-}
-
-/// Applies the ratio-based regression gate for the sharded shot engine.
-pub fn apply_gate(
-    shot_engine: Option<&ShotEngineSummary>,
-    baseline: Option<&Baseline>,
-    threads_available: usize,
-) -> GateOutcome {
-    let Some(baseline) = baseline else {
-        return GateOutcome::Skip("no checked-in baseline".into());
-    };
-    let Some(summary) = shot_engine else {
-        return GateOutcome::Skip("no shot_engine serial/sharded results".into());
-    };
-    gate_ratio(
-        summary.speedup,
-        baseline.shot_engine_speedup,
-        baseline.tolerance,
-        threads_available,
-    )
-}
-
-/// Applies the ratio-based regression gate for the path-parallel engine:
-/// `path_engine/serial` over `path_engine/chunked` must stay within
-/// tolerance of the baseline's `path_speedup`. Skips gracefully when no
-/// baseline or no path-engine results exist, or on a single-core
-/// machine.
-pub fn apply_path_gate(
-    path_engine: Option<&PathEngineSummary>,
-    baseline: Option<&Baseline>,
-    threads_available: usize,
-) -> GateOutcome {
-    let Some(baseline) = baseline else {
-        return GateOutcome::Skip("no checked-in baseline".into());
-    };
-    let Some(summary) = path_engine else {
-        return GateOutcome::Skip("no path_engine serial/chunked results".into());
-    };
-    gate_ratio(
-        summary.speedup,
-        baseline.path_speedup,
-        baseline.tolerance,
-        threads_available,
-    )
 }
 
 /// Applies the fleet SLO gate over a serve summary's `slo_compare`
@@ -778,10 +693,53 @@ mod tests {
         ]
     }
 
+    /// The shot-engine pair, as `bench_report` extracts it.
+    fn shot_engine_summary(records: &[BenchRecord]) -> Option<SpeedupSummary> {
+        speedup_summary(records, "shot_engine/serial", "shot_engine/sharded")
+    }
+
+    /// The path-engine pair, as `bench_report` extracts it.
+    fn path_engine_summary(records: &[BenchRecord]) -> Option<SpeedupSummary> {
+        speedup_summary(records, "path_engine/serial", "path_engine/chunked")
+    }
+
+    /// The shot-engine gate, as `bench_report` applies it.
+    fn shot_gate(
+        summary: Option<&SpeedupSummary>,
+        baseline: Option<&Baseline>,
+        threads: usize,
+    ) -> GateOutcome {
+        let reference = |b: &Baseline| b.shot_engine_speedup;
+        apply_gate(
+            "shot_engine serial/sharded",
+            summary,
+            baseline,
+            reference,
+            threads,
+        )
+    }
+
+    /// The path-engine gate, as `bench_report` applies it.
+    fn path_gate(
+        summary: Option<&SpeedupSummary>,
+        baseline: Option<&Baseline>,
+        threads: usize,
+    ) -> GateOutcome {
+        let reference = |b: &Baseline| b.path_speedup;
+        apply_gate(
+            "path_engine serial/chunked",
+            summary,
+            baseline,
+            reference,
+            threads,
+        )
+    }
+
     #[test]
     fn shot_engine_speedup_is_serial_over_sharded() {
         let s = shot_engine_summary(&records()).unwrap();
         assert_eq!(s.speedup, 4.0);
+        assert_eq!((s.serial_ns, s.parallel_ns), (4000.0, 1000.0));
         assert!(shot_engine_summary(&records()[..1]).is_none());
     }
 
@@ -801,7 +759,8 @@ mod tests {
         let json = summary_json(&recs, s.as_ref(), p.as_ref(), 8);
         assert_eq!(json_num_field(&json, "threads_available"), Some(8.0));
         assert_eq!(json_num_field(&json, "speedup"), Some(4.0));
-        assert!(json.contains("\"path_speedup\": {\"serial_ns\": 6000.0"));
+        assert!(json.contains("\"shot_engine\": {\"serial_ns\": 4000.0, \"sharded_ns\": 1000.0"));
+        assert!(json.contains("\"path_speedup\": {\"serial_ns\": 6000.0, \"chunked_ns\": 2000.0"));
         assert!(json.contains("\"name\": \"shot_engine/serial\""));
         // Absent sections render as explicit nulls.
         let empty = summary_json(&[], None, None, 1);
@@ -835,7 +794,7 @@ mod tests {
             path_speedup: 1.6,
             tolerance: 0.25,
         };
-        match apply_gate(summary.as_ref(), Some(&baseline), 8) {
+        match shot_gate(summary.as_ref(), Some(&baseline), 8) {
             GateOutcome::Pass { speedup, floor } => {
                 assert_eq!(speedup, 4.0);
                 assert_eq!(floor, 1.5);
@@ -848,7 +807,7 @@ mod tests {
             tolerance: 0.25,
         };
         assert!(matches!(
-            apply_gate(summary.as_ref(), Some(&tight), 8),
+            shot_gate(summary.as_ref(), Some(&tight), 8),
             GateOutcome::Fail { .. }
         ));
     }
@@ -862,7 +821,7 @@ mod tests {
             path_speedup: 1.6,
             tolerance: 0.25,
         };
-        match apply_path_gate(summary.as_ref(), Some(&baseline), 8) {
+        match path_gate(summary.as_ref(), Some(&baseline), 8) {
             GateOutcome::Pass { speedup, floor } => {
                 assert_eq!(speedup, 3.0);
                 assert!((floor - 1.2).abs() < 1e-12);
@@ -874,20 +833,20 @@ mod tests {
             ..baseline
         };
         assert!(matches!(
-            apply_path_gate(summary.as_ref(), Some(&tight), 8),
+            path_gate(summary.as_ref(), Some(&tight), 8),
             GateOutcome::Fail { .. }
         ));
         // Skips: no results, single core, no baseline.
+        assert_eq!(
+            path_gate(None, Some(&baseline), 8),
+            GateOutcome::Skip("no path_engine serial/chunked results".into())
+        );
         assert!(matches!(
-            apply_path_gate(None, Some(&baseline), 8),
+            path_gate(summary.as_ref(), Some(&baseline), 1),
             GateOutcome::Skip(_)
         ));
         assert!(matches!(
-            apply_path_gate(summary.as_ref(), Some(&baseline), 1),
-            GateOutcome::Skip(_)
-        ));
-        assert!(matches!(
-            apply_path_gate(summary.as_ref(), None, 8),
+            path_gate(summary.as_ref(), None, 8),
             GateOutcome::Skip(_)
         ));
     }
@@ -917,13 +876,15 @@ mod tests {
             mean_execute_ns: 300.0,
             cache_hit_rate: 0.9375,
         };
-        let json = serve_sweep_json(&[point.clone(), point]);
+        let json = json::rows(
+            [point.clone(), point].iter().map(ServeLoadPoint::to_json),
+            "  ",
+        );
         assert_eq!(json_num_field(&json, "load_factor"), Some(2.0));
         assert_eq!(json_num_field(&json, "shed"), Some(112.0));
         assert_eq!(json_num_field(&json, "p99"), Some(9_000.0));
         assert_eq!(json_num_field(&json, "queue_wait"), Some(700.2));
         assert_eq!(json.matches("achieved_rps").count(), 2);
-        assert!(serve_sweep_json(&[]).starts_with("[\n"));
     }
 
     #[test]
@@ -938,7 +899,7 @@ mod tests {
             compiled: 2,
         };
         assert!((point.batch_hit_rate() - 0.75).abs() < 1e-12);
-        let json = serve_arch_json(std::slice::from_ref(&point));
+        let json = point.to_json();
         assert_eq!(
             json_str_field(&json, "arch").as_deref(),
             Some("bucket_brigade")
@@ -952,7 +913,6 @@ mod tests {
             ..point
         };
         assert_eq!(idle.batch_hit_rate(), 0.0);
-        assert!(serve_arch_json(&[]).starts_with("[\n"));
     }
 
     #[test]
@@ -1250,18 +1210,18 @@ mod tests {
             tolerance: 0.25,
         };
         // No baseline checked in.
-        assert!(matches!(
-            apply_gate(summary.as_ref(), None, 8),
-            GateOutcome::Skip(_)
-        ));
+        assert_eq!(
+            shot_gate(summary.as_ref(), None, 8),
+            GateOutcome::Skip("no checked-in baseline".into())
+        );
         // No shot-engine results.
-        assert!(matches!(
-            apply_gate(None, Some(&baseline), 8),
-            GateOutcome::Skip(_)
-        ));
+        assert_eq!(
+            shot_gate(None, Some(&baseline), 8),
+            GateOutcome::Skip("no shot_engine serial/sharded results".into())
+        );
         // Single-core machine: speedup physically unobservable.
         assert!(matches!(
-            apply_gate(summary.as_ref(), Some(&baseline), 1),
+            shot_gate(summary.as_ref(), Some(&baseline), 1),
             GateOutcome::Skip(_)
         ));
     }

@@ -34,6 +34,8 @@
 use qram_core::{ArchSpec, Memory};
 use qram_service::{Compiler, CostModel, Ticks};
 use qram_telemetry::fnv1a_64;
+use qram_telemetry::json::{self, quote};
+use qram_telemetry::members;
 
 /// Schema identifier stamped into every [`frontier_json`] report.
 pub const FRONTIER_SCHEMA: &str = "qram-plan/frontier/v1";
@@ -211,40 +213,33 @@ pub fn frontier_json(n: usize, qubit_budget: usize, cost: CostModel, shots: usiz
     let planned = planned_families_with(n, qubit_budget, cost, shots);
     let digest = frontier_digest(&frontier);
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{FRONTIER_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"address_width\": {n},\n"));
     let budget = if qubit_budget == UNLIMITED_BUDGET {
         0
     } else {
         qubit_budget
     };
-    out.push_str(&format!("  \"qubit_budget\": {budget},\n"));
-    out.push_str(&format!("  \"shots\": {shots},\n"));
-    out.push_str(&format!("  \"candidates\": {},\n", points.len()));
-    out.push_str("  \"frontier\": [\n");
-    for (i, point) in frontier.iter().enumerate() {
-        let comma = if i + 1 == frontier.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"arch\": \"{}\", \"family\": \"{}\", \"qubits\": {}, \"compile_ticks\": {}, \"execute_ticks\": {}}}{comma}\n",
-            point.spec.name(),
-            point.spec.family(),
-            point.qubits,
-            point.compile,
-            point.execute
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"planned\": [");
-    for (i, spec) in planned.iter().enumerate() {
-        let comma = if i + 1 == planned.len() { "" } else { ", " };
-        out.push_str(&format!("\"{}\"{comma}", spec.name()));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("  \"frontier_digest\": \"{digest:016x}\"\n"));
-    out.push_str("}\n");
-    out
+    let rows = frontier.iter().map(|point| {
+        members![
+            "arch" => quote(&point.spec.name()),
+            "family" => quote(point.spec.family()),
+            "qubits" => point.qubits,
+            "compile_ticks" => point.compile,
+            "execute_ticks" => point.execute,
+        ]
+        .inline()
+    });
+    let planned = planned.iter().map(|spec| quote(&spec.name()));
+    let report = members![
+        "schema" => quote(FRONTIER_SCHEMA),
+        "address_width" => n,
+        "qubit_budget" => budget,
+        "shots" => shots,
+        "candidates" => points.len(),
+        "frontier" => json::rows(rows, "  "),
+        "planned" => json::list(planned),
+        "frontier_digest" => json::hex(digest),
+    ];
+    format!("{}\n", report.block(""))
 }
 
 #[cfg(test)]

@@ -18,13 +18,15 @@
 //!   body, monomorphized away) and a [`TelemetryRecorder`] that feeds
 //!   a registry plus a tracer;
 //! * [`host_wall`] — the one audited gateway to host wall-clock time,
-//!   so the determinism lint's allowlist shrinks to this single file.
+//!   so the determinism lint's allowlist shrinks to this single file;
+//! * [`json`] — the one JSON writer every report renders through.
 //!
 //! The crate is deliberately dependency-free (it sits below `qram-sim`
 //! and `qram-service` in the workspace graph) and does all arithmetic
 //! in integers: merging shard-local telemetry in any order yields
 //! bit-identical state.
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

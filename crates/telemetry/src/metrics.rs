@@ -10,6 +10,8 @@
 use std::collections::BTreeMap;
 
 use crate::fnv1a_64;
+use crate::json::Members;
+use crate::members;
 
 /// Values below this are their own bucket (exact ticks).
 const LINEAR_MAX: u64 = 128;
@@ -265,46 +267,26 @@ impl MetricsRegistry {
         fnv1a_64(bytes)
     }
 
-    /// Hand-rolled JSON dump (the workspace carries no serde): counters
-    /// and gauges verbatim, histograms as count/percentile summaries.
+    /// The registry as a JSON object at `indent`: counters and gauges
+    /// verbatim, histograms as count/percentile summaries.
     pub fn to_json(&self, indent: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{indent}{{\n"));
-        out.push_str(&format!("{indent}  \"counters\": {{"));
-        let items: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v}"))
+        let summary = |h: &Histogram| {
+            let p = |q| h.percentile(q);
+            members![
+                "count" => h.count(), "p50" => p(50.0), "p90" => p(90.0), "p99" => p(99.0),
+                "max" => h.max(),
+            ]
+        };
+        let histograms: Members = self
+            .histograms()
+            .map(|(name, h)| (name, summary(h).inline()))
             .collect();
-        out.push_str(&items.join(", "));
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}  \"gauges\": {{"));
-        let items: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v}"))
-            .collect();
-        out.push_str(&items.join(", "));
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}  \"histograms\": {{"));
-        let items: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "\"{name}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                    h.count(),
-                    h.percentile(50.0),
-                    h.percentile(90.0),
-                    h.percentile(99.0),
-                    h.max()
-                )
-            })
-            .collect();
-        out.push_str(&items.join(", "));
-        out.push_str("}\n");
-        out.push_str(&format!("{indent}}}"));
-        out
+        let report = members![
+            "counters" => self.counters().collect::<Members>().inline(),
+            "gauges" => self.gauges().collect::<Members>().inline(),
+            "histograms" => histograms.inline(),
+        ];
+        format!("{indent}{}", report.block(indent))
     }
 }
 

@@ -11,6 +11,8 @@
 //! the host parallelized it.
 
 use crate::fnv1a_64;
+use crate::json::{quote, rows, Members};
+use crate::members;
 use crate::Ticks;
 
 /// Request ids at or above this bit are synthetic: terminal admission
@@ -267,37 +269,31 @@ impl SpanStage {
         }
     }
 
-    fn payload_json(&self) -> String {
+    /// The stage-specific members of the span's JSON object.
+    fn payload(&self) -> Members {
         match self {
             SpanStage::Admission {
                 outcome,
                 queue_depth,
-            } => format!(
-                "\"outcome\": \"{}\", \"queue_depth\": {queue_depth}",
-                outcome.label()
-            ),
-            SpanStage::QueueWait { group } => format!("\"group\": \"{group}\""),
+            } => members!["outcome" => quote(outcome.label()), "queue_depth" => queue_depth],
+            SpanStage::QueueWait { group } => members!["group" => quote(group)],
             SpanStage::BatchForm {
                 group,
                 reason,
                 size,
-            } => format!(
-                "\"group\": \"{group}\", \"reason\": \"{}\", \"size\": {size}",
-                reason.label()
-            ),
+            } => members![
+                "group" => quote(group), "reason" => quote(reason.label()), "size" => size
+            ],
             SpanStage::Compile {
                 group,
                 cache_hit,
                 verify,
-            } => format!(
-                "\"group\": \"{group}\", \"cache_hit\": {cache_hit}, \"verify\": \"{}\"",
-                verify.label()
-            ),
-            SpanStage::Execute { unit, shots } => {
-                format!("\"unit\": {unit}, \"shots\": {shots}")
-            }
+            } => members![
+                "group" => quote(group), "cache_hit" => cache_hit, "verify" => quote(verify.label())
+            ],
+            SpanStage::Execute { unit, shots } => members!["unit" => unit, "shots" => shots],
             SpanStage::Route { shard, reason } => {
-                format!("\"shard\": {shard}, \"reason\": \"{}\"", reason.label())
+                members!["shard" => shard, "reason" => quote(reason.label())]
             }
         }
     }
@@ -333,19 +329,17 @@ impl SpanEvent {
     /// One JSON object for the span. Synthetic request ids are masked
     /// back to the offered-arrival ordinal and marked `"terminal"`.
     pub fn to_json(&self) -> String {
-        let (request, terminal) = if self.request >= SYNTHETIC_REQUEST_BASE {
-            (self.request - SYNTHETIC_REQUEST_BASE, true)
-        } else {
-            (self.request, false)
-        };
-        let terminal = if terminal { ", \"terminal\": true" } else { "" };
-        format!(
-            "{{\"request\": {request}, \"stage\": \"{}\", \"start\": {}, \"end\": {}, {}{terminal}}}",
-            self.stage.name(),
-            self.start,
-            self.end,
-            self.stage.payload_json()
-        )
+        let mut members = members![
+            "request" => self.request & !SYNTHETIC_REQUEST_BASE,
+            "stage" => quote(self.stage.name()),
+            "start" => self.start,
+            "end" => self.end,
+        ];
+        members.append(self.stage.payload());
+        if self.request >= SYNTHETIC_REQUEST_BASE {
+            members.push("terminal", true);
+        }
+        members.inline()
     }
 }
 
@@ -407,12 +401,9 @@ impl SpanTracer {
 
     /// The canonical log as a JSON array (one span object per line).
     pub fn to_json(&self, indent: &str) -> String {
-        let spans: Vec<String> = self
-            .canonical()
-            .iter()
-            .map(|e| format!("{indent}  {}", e.to_json()))
-            .collect();
-        format!("{indent}[\n{}\n{indent}]", spans.join(",\n"))
+        let spans = self.canonical();
+        let spans = rows(spans.iter().map(SpanEvent::to_json), indent);
+        format!("{indent}{spans}")
     }
 }
 

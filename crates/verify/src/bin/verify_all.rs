@@ -12,6 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use qram_core::{ArchSpec, DataEncoding, Memory, Optimizations};
+use qram_telemetry::json::{list, quote};
+use qram_telemetry::members;
 use qram_verify::{lint_workspace, verify_query, Allowlist, Finding, LintReport, VerifyLevel};
 
 /// The workspace root: the current directory when invoked from it (the
@@ -72,21 +74,6 @@ fn memories(n: usize) -> [Memory; 2] {
     ]
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let root = workspace_root();
 
@@ -123,34 +110,25 @@ fn main() -> ExitCode {
         }
     };
 
-    // Findings report (hand-rolled JSON; the workspace has no serde).
-    let mut json = String::from("{\n  \"circuit_pass\": {\n");
-    json.push_str(&format!("    \"artifacts_checked\": {specs_checked},\n"));
-    json.push_str("    \"findings\": [");
-    for (i, (spec, finding)) in circuit_findings.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n      {{\"spec\": \"{}\", \"finding\": \"{}\"}}",
-            json_escape(spec),
-            json_escape(&finding.to_string())
-        ));
-    }
-    json.push_str("]\n  },\n  \"lint_pass\": {\n");
-    json.push_str(&format!("    \"files_scanned\": {},\n", lint.files_scanned));
-    json.push_str(&format!("    \"allowlisted\": {},\n", lint.suppressed));
-    json.push_str("    \"findings\": [");
-    for (i, finding) in lint.findings.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n      \"{}\"",
-            json_escape(&finding.to_string())
-        ));
-    }
-    json.push_str("]\n  }\n}\n");
+    // Findings report.
+    let circuit_json = circuit_findings.iter().map(|(spec, finding)| {
+        members!["spec" => quote(spec), "finding" => quote(&finding.to_string())].inline()
+    });
+    let lint_json = lint.findings.iter().map(|f| quote(&f.to_string()));
+    let report = members![
+        "circuit_pass" => members![
+            "artifacts_checked" => specs_checked,
+            "findings" => list(circuit_json),
+        ]
+        .block("  "),
+        "lint_pass" => members![
+            "files_scanned" => lint.files_scanned,
+            "allowlisted" => lint.suppressed,
+            "findings" => list(lint_json),
+        ]
+        .block("  "),
+    ];
+    let json = format!("{}\n", report.block(""));
     if let Err(e) = std::fs::write(root.join("VERIFY.json"), &json) {
         eprintln!("verify_all: cannot write VERIFY.json: {e}");
         return ExitCode::FAILURE;
