@@ -154,7 +154,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = qram_sim::par::available_cores();
     let shot_engine = speedup_summary(&records, "shot_engine/serial", "shot_engine/sharded");
     let path_engine = speedup_summary(&records, "path_engine/serial", "path_engine/chunked");
     let summary = summary_json(

@@ -36,18 +36,20 @@
 //!   throughput/latency/cache breakdown;
 //! * `--shots N` — Monte-Carlo shots per request (0 = noiseless serving);
 //! * `--seed N` — service master seed (per-request streams derive from it);
-//! * `--threads N` — real executor workers (`0` = all cores). A pure
-//!   throughput knob: results — latency breakdowns included — are
-//!   bit-identical for any value (the printed `results_digest` proves it);
+//! * `--threads N` — real executor workers (`0` = all cores; noiseless
+//!   serving always runs on one). A pure throughput knob: results —
+//!   latency breakdowns included — are bit-identical for any value (the
+//!   printed `results_digest` proves it);
 //! * `--shot-threads N` — threads the shot engine uses *inside* one
-//!   request (default 1). Multiplies with `--threads`; keep at 1 unless
-//!   requests are few and shot counts large, since per-request
-//!   work-stealing already fills the workers;
+//!   request (default 1). The knobs never multiply: nested parallel
+//!   regions run inline on the worker that opened them, so these threads
+//!   start only when a firing runs on one executor thread (`--threads 1`
+//!   or a single fired request);
 //! * `--path-chunks N` — path-slab chunks the simulator splits each
-//!   shot's path set into (default 1; `0` = auto). Multiplies with both
-//!   thread knobs; keep at 1 unless circuits are wide (`--width` 8+).
-//!   Like the thread knobs it is a pure throughput knob — results are
-//!   bit-identical for any value;
+//!   shot's path set into (default 1; `0` = auto). Every served input is
+//!   a one-path basis state and chunks are capped by the path count, so
+//!   in the service this starts no thread. Like the thread knobs it is a
+//!   pure throughput knob — results are bit-identical for any value;
 //! * `--mode closed|open` — closed-loop drain (default) or open-loop
 //!   arrival-process sweep;
 //! * `--workload NAME` — `uniform`, `zipfian` (default), `scan`, `grover`;

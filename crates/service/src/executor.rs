@@ -1,15 +1,16 @@
-//! The real executor: a work-stealing per-request dispatch pool over the
-//! sharded shot engine.
+//! The real executor: per-request dispatch over the fork-join layer
+//! ([`qram_sim::par`]), on top of the shot engine.
 //!
 //! Where the virtual timeline ([`crate::VirtualTimeline`]) *models* when
 //! a request runs on the served device, this module actually *computes*
 //! each request's answer (classical readout + Monte-Carlo fidelity
 //! estimate) on the simulation host. Fired requests — possibly from
-//! several batches — are flattened into one work list; `workers` threads
-//! pull individual items off a shared atomic cursor, so a thread that
-//! drew cheap requests steals the next pending one instead of idling
-//! behind a skewed batch (the failure mode of the old
-//! round-robin-over-batches pool).
+//! several batches — are flattened into one work list whose items the
+//! workers claim one at a time, so a thread that drew cheap requests
+//! takes the next pending one instead of idling behind a skewed batch.
+//! When the requests run on workers, each request's shot engine runs
+//! inline on its worker: the executor and shot levels never multiply
+//! threads.
 //!
 //! # Determinism
 //!
@@ -18,14 +19,13 @@
 //! seed, request id)` — the fault stream derives from
 //! [`qram_noise::derive_stream_seed`]`(seed, id)` and replays via
 //! [`FaultSampler::sample_shot_from`] over the spec's shared trial
-//! table — and every worker writes only its item's own slot. Which
-//! thread steals which item is invisible in the output.
+//! table — and every item's answer lands in its own slot. Which thread
+//! runs which item is invisible in the output.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 use qram_noise::{derive_stream_seed, FaultSampler};
+use qram_sim::par::par_map;
 use qram_sim::{run_shots_stats, Amplitude, FidelityEstimate, ShotConfig, ShotStats};
 
 use crate::{CompiledQuery, Latency, QueryRequest, QueryResult, ServiceConfig, Ticks};
@@ -44,64 +44,23 @@ pub(crate) struct PreparedRequest {
     pub completed: Ticks,
 }
 
-/// Executes `prepared` on `workers` threads via work-stealing dispatch;
+/// Executes `prepared` on `workers` threads of the fork-join layer;
 /// returns `(result, shot-engine stats)` pairs in `prepared` order —
 /// the stats ride back to the coordinating thread so telemetry
-/// recording never happens off it.
-///
-/// Noiseless items (`shots == 0`, one classical readout each) always
-/// run inline: open-loop serving dispatches per firing event, and
-/// spawning a thread scope per microsecond-scale batch would cost more
-/// than the work itself. This is purely a scheduling choice — the
-/// bit-identity contract holds either way.
+/// recording never happens off it. The service resolves `workers`
+/// through `ServiceConfig::resolved_workers`, which runs noiseless
+/// firings inline.
 pub(crate) fn dispatch(
     prepared: &[PreparedRequest],
     workers: usize,
     config: &ServiceConfig,
 ) -> Vec<(QueryResult, ShotStats)> {
-    let workers = if config.shots == 0 {
-        1
-    } else {
-        workers.clamp(1, prepared.len().max(1))
-    };
-    if workers == 1 {
-        return prepared
-            .iter()
-            .map(|item| execute_one(item, config))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<Option<(QueryResult, ShotStats)>> = vec![None; prepared.len()];
-    let stolen: Vec<Vec<(usize, (QueryResult, ShotStats))>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        // Steal the next pending item; the claim order is
-                        // scheduling-dependent, the per-item result is not.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = prepared.get(i) else {
-                            return mine;
-                        };
-                        mine.push((i, execute_one(item, config)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    });
-    for (i, result) in stolen.into_iter().flatten() {
-        debug_assert!(results[i].is_none(), "item {i} executed twice");
-        results[i] = Some(result);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every dispatched item produces a result"))
-        .collect()
+    par_map(
+        prepared,
+        workers,
+        || (),
+        |(), item| execute_one(item, config),
+    )
 }
 
 /// Serves one request: classical readout off the compiled circuit plus a

@@ -53,10 +53,11 @@
 //!   cached or served;
 //! * [`QramService`] — the engine: `submit`/`drain` for closed-loop
 //!   clients, `try_submit_at`/`poll` for open-loop arrival processes,
-//!   and a work-stealing per-request executor dispatching onto the
-//!   sharded shot engine ([`qram_sim::run_shots_stats`]) with deterministic
-//!   per-request seeds — results are **bit-identical for any worker
-//!   count**, latency breakdowns included. Each fired batch is recorded
+//!   and a per-request executor on the fork-join layer
+//!   ([`qram_sim::par`]) over the shot engine
+//!   ([`qram_sim::run_shots_stats`]) with deterministic per-request
+//!   seeds — results are **bit-identical for any worker count**, latency
+//!   breakdowns included. Each fired batch is recorded
 //!   once, in the telemetry span log: one `BatchForm` span (spec group,
 //!   fire instant, size) and one `Compile` span whose width is the
 //!   compile charge (0 on a cache hit);

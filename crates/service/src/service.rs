@@ -1,6 +1,6 @@
 //! The query-serving engine: an event-driven pipeline on a virtual
 //! clock — bounded admission → deadline-aware batching → circuit cache →
-//! work-stealing execution on the sharded shot engine.
+//! execution on the fork-join layer over the shot engine.
 //!
 //! # The event loop
 //!
@@ -28,16 +28,16 @@
 //!   `(service seed, request id)` ([`qram_noise::derive_stream_seed`] +
 //!   [`FaultSampler::sample_shot_from`] over the spec's shared trial
 //!   table), so the estimate a request receives cannot depend on which
-//!   worker stole it;
+//!   worker ran it;
 //! * latency is measured on the virtual clock via the [`CostModel`],
 //!   never on host wall time.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread;
 
 use qram_core::Memory;
 use qram_noise::{FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
+use qram_sim::par::available_cores;
 use qram_sim::{ShotConfig, ShotStats};
 use qram_telemetry::{
     key, AdmissionOutcome, FireReason, MetricsRegistry, NoopRecorder, Recorder, SpanEvent,
@@ -64,6 +64,9 @@ use crate::{
 pub struct ServiceConfig {
     /// Executor worker threads; `0` = all available cores. A pure
     /// throughput knob: results are bit-identical for any value.
+    /// Noiseless firings (`shots == 0`) always run on one thread:
+    /// open-loop serving fires per event, and starting threads for a
+    /// microsecond-scale batch of readouts costs more than the readouts.
     pub workers: usize,
     /// Bounded LRU capacity of the compiled-circuit cache (distinct
     /// [`QuerySpec`]s held at once).
@@ -77,15 +80,16 @@ pub struct ServiceConfig {
     /// `(seed, request id)`.
     pub seed: u64,
     /// Threads handed to the shot engine *inside* one request
-    /// (`ShotConfig::threads`); keep at 1 when `workers` already
-    /// saturates the machine — the two levels multiply, and per-request
-    /// work-stealing already balances skew across workers. Raising it
-    /// helps only when requests are few and shot counts large.
+    /// (`ShotConfig::threads`). Nested fork-join regions run inline, so
+    /// these threads start only when a firing runs on one executor
+    /// thread (`workers == 1` or a single fired request).
+    /// Results are bit-identical for any value.
     pub shot_threads: usize,
     /// Parallel path chunks inside each shot replay
-    /// (`ShotConfig::path_chunks`); keep at 1 unless served circuits are
-    /// wide (`m ≥ 8`, thousands of paths) and workers leave cores idle.
-    /// Results are bit-identical for any value.
+    /// (`ShotConfig::path_chunks`). Every served input is a one-path
+    /// basis state and chunks are capped by the path count, so on the
+    /// serving path this never starts a thread. Results are
+    /// bit-identical for any value.
     pub path_chunks: usize,
     /// The noise model fidelity estimates are taken under.
     pub noise: NoiseModel,
@@ -181,12 +185,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Overrides the per-request shot-engine thread count.
     pub fn with_shot_threads(mut self, threads: usize) -> Self {
         self.shot_threads = threads;
@@ -236,14 +234,19 @@ impl ServiceConfig {
         self
     }
 
-    /// The effective executor worker count for `items` work items.
+    /// The executor's thread count for `items` fired requests:
+    /// `workers` (`0` = all cores) capped by the item count, and 1 when
+    /// serving noiseless (see [`workers`](Self::workers)).
     fn resolved_workers(&self, items: usize) -> usize {
-        let hardware = if self.workers > 0 {
+        if self.shots == 0 {
+            return 1;
+        }
+        let workers = if self.workers > 0 {
             self.workers
         } else {
-            thread::available_parallelism().map_or(1, |n| n.get())
+            available_cores()
         };
-        hardware.min(items).max(1)
+        workers.min(items).max(1)
     }
 }
 
@@ -262,8 +265,8 @@ pub struct ServiceReport {
     pub cache: CacheStats,
     /// Lifetime admission counters after this drain.
     pub admission: AdmissionStats,
-    /// Worker threads the executor pool resolves to for this report's
-    /// result count.
+    /// Executor threads the service resolves to for this report's result
+    /// count (1 when serving noiseless).
     pub workers: usize,
 }
 
@@ -824,7 +827,7 @@ impl<R: Recorder> QramService<R> {
 
     /// Fires `batches` at `fire_time`: resolves circuits through the
     /// cache, schedules every member on the virtual timeline, executes
-    /// the flattened work list on the work-stealing pool, and parks the
+    /// the flattened work list on the fork-join layer, and parks the
     /// results until their virtual completion.
     fn fire_batches(&mut self, batches: Vec<QueryBatch>, fire_time: Ticks, reason: FireReason) {
         if batches.is_empty() {
@@ -1118,6 +1121,20 @@ mod tests {
         let report = service.drain();
         assert!(report.results.is_empty());
         assert!(fired(&service).is_empty());
+        assert_eq!(report.workers, 1);
+    }
+
+    #[test]
+    fn noiseless_drain_reports_the_one_thread_that_served_it() {
+        // Noiseless firings run inline, so the report must not claim the
+        // configured pool.
+        let config = noiseless_config().with_workers(2);
+        let mut service = QramService::new(memory(2), config);
+        for address in 0..4 {
+            service.submit(address, QuerySpec::new(1, 1));
+        }
+        let report = service.drain();
+        assert_eq!(report.results.len(), 4);
         assert_eq!(report.workers, 1);
     }
 

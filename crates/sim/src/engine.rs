@@ -1,18 +1,16 @@
-//! Sharded, deterministic parallel Monte-Carlo shot engine with
-//! two-level parallelism: threads across *shots*, chunks across *paths*.
+//! Deterministic parallel Monte-Carlo shot engine: shots fan out over
+//! [`crate::par::par_map`] workers, and each shot's replay can split its
+//! paths into chunks on the same fork-join layer.
 //!
-//! The engine splits a run of `shots` trajectories into per-thread
-//! *shards* executed under [`std::thread::scope`] — no work stealing, no
-//! external dependencies. Determinism across thread counts is structural,
-//! not accidental:
+//! Determinism across thread counts is structural, not accidental:
 //!
 //! * the sampler contract is `Fn(shot) -> FaultPlan`: every shot's fault
 //!   pattern is a pure function of the shot index (samplers derive an
 //!   independent RNG stream per shot), so the pattern a shot receives
-//!   cannot depend on which shard runs it;
-//! * every shot writes its fidelity into `samples[shot]`, and the final
-//!   [`FidelityEstimate`] folds that vector in index order — the same
-//!   floating-point reduction regardless of sharding;
+//!   cannot depend on which worker runs it;
+//! * every shot's fidelity lands in its own slot, and the final
+//!   [`FidelityEstimate`] folds the slots in shot order — the same
+//!   floating-point reduction regardless of the thread count;
 //! * within a shot, the path-parallel executor
 //!   ([`crate::run_with_faults`]) is bit-identical to the serial
 //!   one because paths never interact during gate application — chunking
@@ -24,39 +22,33 @@
 //! `(threads, path_chunks)` pair, which is what lets `--threads` and
 //! `--path-chunks` be pure throughput knobs in the reproduction binaries.
 //!
-//! The two levels compose without oversubscription: when either knob is
-//! `0` (auto), the resolution divides the machine's available parallelism
-//! by the other knob, so `threads × path_chunks` never exceeds the core
-//! count unless both are pinned explicitly. Spend threads on shots
-//! (cheap, embarrassingly parallel) when `shots ≥ cores`; spend them on
-//! paths when individual shots are wide (`m ≥ 8`, thousands of paths) and
-//! shots are few.
+//! The two knobs never multiply: a path-chunk region opened inside a
+//! shot worker runs inline on that worker (see [`crate::par`]), so path
+//! chunks start threads only when the shots run on one thread. Spend
+//! threads on shots (cheap, embarrassingly parallel) when
+//! `shots ≥ cores`; spend them on paths, with `threads = 1`, when
+//! individual shots are wide (`m ≥ 8`, thousands of paths) and shots are
+//! few. When either knob is `0` (auto), the resolution divides the
+//! machine's available parallelism by the other knob.
 //!
 //! Everything a shot shares with the others is prepared once per call:
 //! the gate list is validated and lowered to one op tape, which runs the
 //! ideal trajectory and then every replayed shot with that shot's faults
 //! spliced in; the ideal side of the overlap (the path index of the full
 //! fidelity, the kept-substring map of the reduced one) is built on the
-//! first replayed shot and shared by every shard. Each shard reuses one
-//! scratch [`PathState`], resetting it from the input via the
+//! first replayed shot and shared by every worker. Each worker reuses
+//! one scratch [`PathState`], resetting it from the input via the
 //! allocation-reusing [`Clone::clone_from`] instead of cloning a fresh
 //! state per shot.
 
-use std::num::NonZeroUsize;
 use std::sync::OnceLock;
-use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
 use crate::executor::{execute, lower_checked, validate_faults, Tape};
+use crate::par::{available_cores, par_map};
 use crate::state::{PathIndex, ReducedReference};
 use crate::{FaultPlan, FidelityEstimate, PathState, SimError};
-
-fn available_cores() -> usize {
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Configuration of one Monte-Carlo fidelity run.
 ///
@@ -86,7 +78,9 @@ pub struct ShotConfig {
     pub threads: usize,
     /// Parallel path chunks within each shot; `1` (the default) keeps the
     /// per-shot gate loop serial, `0` means auto (available cores divided
-    /// by the thread count). Results are bit-identical for any value.
+    /// by the thread count). Chunks run inline on a shot worker, so they
+    /// start threads only when the shots run on one thread. Results are
+    /// bit-identical for any value.
     pub path_chunks: usize,
 }
 
@@ -131,8 +125,7 @@ impl ShotConfig {
 
     /// The effective worker count: `threads`, or — when `threads == 0` —
     /// the machine's available parallelism divided by the pinned
-    /// path-chunk count, so the two levels compose without
-    /// oversubscribing the cores.
+    /// path-chunk count.
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -159,13 +152,13 @@ impl Default for ShotConfig {
     }
 }
 
-/// Work counters accumulated by a shot run, summed over all shards.
+/// Work counters accumulated by a shot run, summed over all shots.
 ///
 /// Every field is **knob-invariant**: fault plans are pure functions of
 /// the shot index, so which shots replay (and how many faults/gates
 /// they touch) cannot depend on `(threads, path_chunks)` — the stats,
 /// like the estimate, are bit-identical across the whole parallelism
-/// matrix. Being plain `u64` sums, shard-local stats merge exactly in
+/// matrix. Being plain `u64` sums, per-shot stats merge exactly in
 /// any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShotStats {
@@ -181,7 +174,7 @@ pub struct ShotStats {
 }
 
 impl ShotStats {
-    /// Adds another shard's counters into this one.
+    /// Adds another run's counters into this one.
     pub fn merge_from(&mut self, other: &ShotStats) {
         self.shots += other.shots;
         self.replayed += other.replayed;
@@ -204,7 +197,7 @@ impl ShotStats {
 /// estimates the fidelity against the noise-free run — over the full
 /// state, or reduced to `keep` when given (see
 /// [`PathState::reduced_fidelity`]) — together with the [`ShotStats`]
-/// summed over all shards.
+/// summed over all shots.
 ///
 /// `sample_plan` is called exactly once per shot with the shot index and
 /// must return that shot's fault pattern; it must be a pure function of
@@ -213,7 +206,7 @@ impl ShotStats {
 /// replaying the circuit.
 ///
 /// The estimate and the stats are bit-identical for every
-/// `(threads, path_chunks)` combination: shot sharding only re-partitions
+/// `(threads, path_chunks)` combination: the shot workers only decide
 /// which thread runs a shot, and path chunking only re-partitions which
 /// thread transforms a path (see [`crate::run_with_faults`]).
 ///
@@ -238,8 +231,8 @@ impl ShotStats {
 ///
 /// The gate list is validated once, as it is lowered for the ideal run;
 /// each replayed shot then checks only its own faults. Returns the ideal
-/// run's error, else the first shot error by lowest shard (all shards run
-/// to completion or error independently).
+/// run's error, else the error of the lowest-indexed failing shot, for
+/// any thread count.
 pub fn run_shots_stats(
     gates: &[Gate],
     input: &PathState,
@@ -252,13 +245,6 @@ pub fn run_shots_stats(
     let mut ideal = input.clone();
     execute(&tape, &mut ideal, &[], path_chunks);
 
-    let shots = config.shots;
-    if shots == 0 {
-        return Ok((FidelityEstimate::from_samples(&[]), ShotStats::default()));
-    }
-    let threads = config.resolved_threads().min(shots).max(1);
-    let mut samples = vec![0.0f64; shots];
-    let mut stats = ShotStats::default();
     let run = ShotRun {
         tape: &tape,
         input,
@@ -267,31 +253,20 @@ pub fn run_shots_stats(
         reference: OnceLock::new(),
         path_chunks,
     };
-
-    if threads == 1 {
-        stats = run.shard(0, &mut samples, sample_plan)?;
-    } else {
-        // Contiguous sharding: shard `i` owns shots [i·chunk, (i+1)·chunk).
-        // Shot indices are global, so the shard boundaries never influence
-        // which plan a shot receives.
-        let chunk = shots.div_ceil(threads);
-        let run = &run;
-        let results: Vec<Result<ShotStats, SimError>> = thread::scope(|scope| {
-            let handles: Vec<_> = samples
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, out)| {
-                    scope.spawn(move || run.shard((i * chunk) as u64, out, sample_plan))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shot shard panicked"))
-                .collect()
-        });
-        for result in results {
-            stats.merge_from(&result?);
-        }
+    // Shot indices are global, so the split over workers never
+    // influences which plan a shot receives.
+    let shots = par_map(
+        0..config.shots,
+        config.resolved_threads(),
+        || PathState::zero_vector(input.num_qubits()),
+        |scratch, shot| run.shot(scratch, shot as u64, sample_plan),
+    );
+    let mut samples = Vec::with_capacity(shots.len());
+    let mut stats = ShotStats::default();
+    for shot in shots {
+        let (sample, shot_stats) = shot?;
+        samples.push(sample);
+        stats.merge_from(&shot_stats);
     }
     Ok((FidelityEstimate::from_samples(&samples), stats))
 }
@@ -302,7 +277,7 @@ enum Reference<'a> {
     Reduced(ReducedReference),
 }
 
-/// What every shard of one [`run_shots_stats`] call shares.
+/// What every shot of one [`run_shots_stats`] call shares.
 struct ShotRun<'a> {
     tape: &'a Tape,
     input: &'a PathState,
@@ -315,47 +290,44 @@ struct ShotRun<'a> {
 }
 
 impl ShotRun<'_> {
-    /// Runs one shard's contiguous shot range, writing fidelities into
-    /// `out`.
+    /// Runs shot `shot` on the worker's `scratch` state (reset, not
+    /// reallocated) and returns its fidelity and counters.
     ///
-    /// Each noisy shot checks its faults against the (already validated)
-    /// tape, then replays it over `path_chunks` parallel path ranges of
-    /// the scratch slab; the overlap reduction then runs serially over
-    /// the whole slab, so the sample value is bit-identical to the
-    /// serial engine's.
-    fn shard(
+    /// A noisy shot checks its faults against the (already validated)
+    /// tape, then replays it over `path_chunks` path ranges of the
+    /// scratch slab; the overlap reduction then runs serially over the
+    /// whole slab, so the sample value is bit-identical to the serial
+    /// engine's.
+    fn shot(
         &self,
-        first_shot: u64,
-        out: &mut [f64],
-        sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
-    ) -> Result<ShotStats, SimError> {
-        // One scratch state per shard, reset (not reallocated) per shot.
-        let mut scratch = PathState::zero_vector(self.input.num_qubits());
-        let mut stats = ShotStats::default();
-        for (i, slot) in out.iter_mut().enumerate() {
-            let plan = sample_plan(first_shot + i as u64);
-            stats.shots += 1;
-            if plan.is_empty() {
-                // Fault-free shot: fidelity is exactly 1; skip the replay.
-                *slot = 1.0;
-                continue;
-            }
-            stats.replayed += 1;
-            stats.faults += plan.len() as u64;
-            stats.gate_applications += self.tape.len() as u64;
-            let faults = plan.sorted();
-            validate_faults(&faults, self.tape.len(), self.input.num_qubits())?;
-            scratch.clone_from(self.input);
-            execute(self.tape, &mut scratch, &faults, self.path_chunks);
-            *slot = match self.reference() {
-                // Every run preserves the path count, so the ideal is never
-                // the larger side and the index reproduces
-                // `ideal.fidelity(&scratch)` term for term.
-                Reference::Full(index) => index.overlap(&scratch, true).norm_sqr(),
-                Reference::Reduced(reference) => reference.fidelity(&scratch),
-            };
+        scratch: &mut PathState,
+        shot: u64,
+        sample_plan: &impl Fn(u64) -> FaultPlan,
+    ) -> Result<(f64, ShotStats), SimError> {
+        let plan = sample_plan(shot);
+        let mut stats = ShotStats {
+            shots: 1,
+            ..ShotStats::default()
+        };
+        if plan.is_empty() {
+            // Fault-free shot: fidelity is exactly 1; skip the replay.
+            return Ok((1.0, stats));
         }
-        Ok(stats)
+        stats.replayed = 1;
+        stats.faults = plan.len() as u64;
+        stats.gate_applications = self.tape.len() as u64;
+        let faults = plan.sorted();
+        validate_faults(&faults, self.tape.len(), self.input.num_qubits())?;
+        scratch.clone_from(self.input);
+        execute(self.tape, scratch, &faults, self.path_chunks);
+        let sample = match self.reference() {
+            // Every run preserves the path count, so the ideal is never
+            // the larger side and the index reproduces
+            // `ideal.fidelity(&scratch)` term for term.
+            Reference::Full(index) => index.overlap(scratch, true).norm_sqr(),
+            Reference::Reduced(reference) => reference.fidelity(scratch),
+        };
+        Ok((sample, stats))
     }
 
     fn reference(&self) -> &Reference<'_> {
@@ -503,7 +475,7 @@ mod tests {
     fn auto_resolution_never_oversubscribes() {
         // Pinning one knob and leaving the other on auto must keep
         // threads × chunks within the core count.
-        let cores = super::available_cores();
+        let cores = available_cores();
         let auto_chunks = ShotConfig::new(8).with_threads(2).with_path_chunks(0);
         assert!(auto_chunks.resolved_path_chunks() * 2 <= cores.max(2));
         let auto_threads = ShotConfig::new(8).with_threads(0).with_path_chunks(2);
@@ -573,6 +545,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::QubitOutOfRange { .. }));
+    }
+
+    #[test]
+    fn lowest_failing_shot_reports_for_any_thread_count() {
+        let (c, input) = test_circuit();
+        // Three shots fault a qubit past the state, each at an index of
+        // its own, so only the lowest failing shot's error matches.
+        let plan = |shot: u64| -> FaultPlan {
+            match shot {
+                5 | 13 | 40 => [Fault::new(0, Qubit(100 + shot as u32), Pauli::X)]
+                    .into_iter()
+                    .collect(),
+                _ => pseudo_random_plan(shot),
+            }
+        };
+        for threads in [1usize, 2, 3, 4, 7, 16] {
+            let config = ShotConfig::new(48).with_threads(threads);
+            let err = estimate(c.gates(), &input, None, &config, &plan).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::QubitOutOfRange {
+                    index: 105,
+                    num_qubits: 3
+                },
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

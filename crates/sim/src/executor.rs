@@ -34,15 +34,14 @@
 //! final overlap reductions), a whole run factorizes over disjoint path
 //! ranges: [`run_with_faults`] splits the state's slab into contiguous
 //! chunks and runs the tape, faults spliced in, on each chunk in parallel
-//! under [`std::thread::scope`]. The result is *bit-identical* to the
+//! over [`crate::par::par_map`]. The result is *bit-identical* to the
 //! serial run — each path's bit and amplitude operations are the same
 //! instruction sequence regardless of which chunk it lands in, and the
 //! slab order is preserved.
 
-use std::thread;
-
 use qram_circuit::{Control, Gate, Qubit};
 
+use crate::par::par_map;
 use crate::state::PathsMut;
 use crate::{Amplitude, PathState, SimError};
 
@@ -183,7 +182,8 @@ pub fn run(gates: &[Gate], state: &mut PathState) -> Result<(), SimError> {
 /// locations (fault at `gate_index = i` fires after `i` gates executed),
 /// over `chunks` disjoint path ranges. `chunks` is clamped to the path
 /// count; `chunks <= 1` runs inline on the calling thread, more chunks
-/// run in parallel under scoped threads.
+/// run in parallel on the fork-join layer ([`crate::par`]), inline when
+/// called from one of its workers.
 ///
 /// The result is **bit-identical** for every chunk count: paths never
 /// interact during execution, so each path undergoes the exact same
@@ -228,19 +228,15 @@ pub(crate) fn lower_checked(
     lowered.map_err(|(_, e)| e)
 }
 
-/// Executes a validated run (see [`lower_checked`]): inline over the
-/// whole slab when `chunks` clamps to 1, otherwise one scoped thread per
-/// chunk view.
+/// Executes a validated run (see [`lower_checked`]) over `chunks` views
+/// of the slab, one fork-join unit per view.
 pub(crate) fn execute(tape: &Tape, state: &mut PathState, faults: &[Fault], chunks: usize) {
-    if chunks.min(state.num_paths()) <= 1 {
-        tape.run_on(state.as_paths_mut(), faults);
-    } else {
-        thread::scope(|scope| {
-            for view in state.chunk_views(chunks) {
-                scope.spawn(move || tape.run_on(view, faults));
-            }
-        });
-    }
+    par_map(
+        state.chunk_views(chunks),
+        chunks,
+        || (),
+        |(), view| tape.run_on(view, faults),
+    );
 }
 
 /// Checks the qubit bounds of the location-sorted `faults` that fire

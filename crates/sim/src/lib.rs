@@ -27,9 +27,11 @@
 //!   run is validated before it touches the state.
 //! * [`run_shots_stats`] — the paper's shot harness: average
 //!   `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns (optionally on a
-//!   reduced register), executed on a sharded parallel engine whose
-//!   estimates and [`ShotStats`] are bit-identical for any
-//!   `(threads, path_chunks)` pair ([`ShotConfig`]).
+//!   reduced register), executed on a parallel engine whose estimates
+//!   and [`ShotStats`] are bit-identical for any `(threads, path_chunks)`
+//!   pair ([`ShotConfig`]).
+//! * [`par`] — the one fork-join layer every host thread in the
+//!   workspace starts on; nested regions run inline.
 //!
 //! # Example
 //!
@@ -55,6 +57,7 @@ mod amplitude;
 mod bitstring;
 mod engine;
 mod executor;
+pub mod par;
 mod shots;
 mod state;
 

@@ -32,9 +32,10 @@
 //! 2. **Determinism lint** ([`lint`]) — a textual scan of workspace
 //!    sources for patterns that undermine the bit-identical-results
 //!    contract: wall-clock reads (`Instant::now` / `SystemTime`),
-//!    unseeded RNG, and iteration over hash collections (whose order is
-//!    seeded per process) feeding digests or schedules. Audited
-//!    exceptions live in `crates/verify/allowlist.txt`.
+//!    unseeded RNG, iteration over hash collections (whose order is
+//!    seeded per process) feeding digests or schedules, and host threads
+//!    started or sized outside the fork-join layer `qram_sim::par`.
+//!    Audited exceptions live in `crates/verify/allowlist.txt`.
 //!
 //! Both passes run in CI via the `verify_all` binary (any finding fails
 //! the build); `verify_source` runs the lint alone.

@@ -18,6 +18,11 @@
 //!   discovery is per file (declarations mentioning the hash types),
 //!   and order-*independent* consumers (`.any(..)` / `.all(..)`
 //!   directly on the iterator) are exempt.
+//! * **`host-threads`** — `thread::scope`, `thread::spawn` and
+//!   `available_parallelism`. Host threads are started in one place,
+//!   the fork-join layer `qram_sim::par`, whose slot-per-unit results
+//!   and inline nested regions keep outputs bit-identical for any thread
+//!   count; a hand-rolled thread scope elsewhere has to re-earn both.
 //!
 //! Findings are suppressed only through the audited allowlist
 //! (`crates/verify/allowlist.txt`): one `rule path-suffix` line per
@@ -38,6 +43,8 @@ pub const RULE_WALL_CLOCK: &str = "wall-clock";
 pub const RULE_UNSEEDED_RNG: &str = "unseeded-rng";
 /// Rule id for hash-collection iteration.
 pub const RULE_UNORDERED_ITER: &str = "unordered-iter";
+/// Rule id for host threads started or sized outside the fork-join layer.
+pub const RULE_HOST_THREADS: &str = "host-threads";
 
 const WALL_CLOCK_PATTERNS: [&str; 2] = [concat!("Instant::", "now"), concat!("System", "Time")];
 const UNSEEDED_RNG_PATTERNS: [&str; 4] = [
@@ -45,6 +52,11 @@ const UNSEEDED_RNG_PATTERNS: [&str; 4] = [
     concat!("from_", "entropy"),
     concat!("from_os_", "rng"),
     concat!("rand::", "random"),
+];
+const HOST_THREAD_PATTERNS: [&str; 3] = [
+    concat!("thread::", "scope"),
+    concat!("thread::", "spawn"),
+    concat!("available_", "parallelism"),
 ];
 const HASH_TYPES: [&str; 2] = [concat!("Hash", "Map"), concat!("Hash", "Set")];
 const ITER_METHODS: [&str; 7] = [
@@ -279,6 +291,9 @@ pub fn lint_file(file: &str, text: &str) -> Vec<LintFinding> {
         if iterates_hash_binding(code, &bindings) {
             hit(RULE_UNORDERED_ITER);
         }
+        if HOST_THREAD_PATTERNS.iter().any(|p| code.contains(p)) {
+            hit(RULE_HOST_THREADS);
+        }
     }
     findings
 }
@@ -412,6 +427,24 @@ mod tests {
         );
         let findings = lint_file("a.rs", text);
         assert_eq!(findings.len(), 1, "{findings:?}");
+    }
+
+    #[test]
+    fn host_threads_outside_the_fork_join_layer_are_flagged() {
+        let text = concat!(
+            "let n = std::thread::available_",
+            "parallelism();\n",
+            "std::thread::sco",
+            "pe(|s| { s.spawn(|| ()); });\n",
+            "let h = thread::spa",
+            "wn(|| ());\n",
+            "// a comment naming thread::sco",
+            "pe\n",
+        );
+        let findings = lint_file("a.rs", text);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2, 3], "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == RULE_HOST_THREADS));
     }
 
     #[test]
